@@ -2,8 +2,9 @@
 
 Stores per-tile object rows in three per-level name tables, answers
 tile-queries with signed tile containers (served from an invalidating
-application-layer cache when possible), resolves its own bulk-insert
-address, applies the access-control table to every operation, and keeps a
+application-layer cache when possible) and batch fetches of masters with
+one signed container per batch, resolves its own bulk-insert address,
+applies the access-control table to every operation, and keeps a
 counting Bloom filter over (tile-prefix, tenant, collection) groups whose
 0->1 / 1->0 bucket transitions are published to the filter server.
 """
@@ -15,12 +16,11 @@ import socket
 import struct
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from geoshard.bloom import CountingBloomFilter, bf_key
-from geoshard.geogrid import LEVELS, TileId
+from geoshard.geogrid import LEVELS, TileId, level0
 from geoshard.icn.clock import system_clock
 from geoshard.icn.names import Name
 from geoshard.icn.packets import (
@@ -39,6 +39,8 @@ from geoshard.naming import (
     NameSchemeError,
     TILE_MARK,
     parse_delete_name,
+    parse_object_batch,
+    parse_object_name,
     parse_tile_query_name,
     route_prefix,
 )
@@ -97,7 +99,6 @@ class EngineConfig:
     node_id: str
     tiles: tuple[TileId, ...]  # owned level-0 tiles
     qdata_freshness_ms: int = 0  # query responses are non-cacheable by default
-    odata_freshness_ms: int = 3_600_000
     ipres_freshness_ms: int = 60_000
     bulk_endpoint: str = ""  # "host:port" or "inproc:<node>"; filled on start
     bf_params: tuple[int, int] | None = None  # (m, h), shared cluster-wide
@@ -149,7 +150,6 @@ class DatabaseEngine:
         self._groups: dict[tuple[Name, str, str], set[Name]] = {}
         self._qdata: dict[Name, list[DataPacket]] = {}
         self._qdata_by_prefix: dict[Name, set[Name]] = {}
-        self._odata_cache: OrderedDict[Name, list[DataPacket]] = OrderedDict()
         self._owned_prefixes = tuple(route_prefix(t) for t in config.tiles)
         self.cbf = (
             CountingBloomFilter(*config.bf_params) if config.bf_params is not None else None
@@ -160,10 +160,7 @@ class DatabaseEngine:
     # --- ownership ---------------------------------------------------------
 
     def owns(self, tile: TileId) -> bool:
-        anc = tile
-        while anc.level > 0:
-            anc = TileId(anc.level - 1, anc.lng_idx // 10, anc.lat_idx // 10)
-        return anc in self.config.tiles
+        return level0(tile) in self.config.tiles
 
     def route_prefixes(self) -> tuple[Name, ...]:
         return self._owned_prefixes
@@ -274,29 +271,43 @@ class DatabaseEngine:
             sign=self._sign,
         )
 
-    # --- direct object fetch ---------------------------------------------------
+    # --- batch object fetch -----------------------------------------------------
 
     def handle_object_fetch(self, base: Name, interest: InterestPacket):
+        """Serve the stored objects named in a batch Interest's parameters.
+
+        Every name is checked like a tile query of its data set. The reply
+        is one engine-signed container of the owner-signed packets found;
+        names not held here are left out, and the requester notices them.
+        """
+        info = parse_object_batch(base, interest.app_params)
+        if info.tile not in self.config.tiles:
+            return None
+        try:
+            cert = self.validator.verify_interest(interest)
+            for name in info.names:
+                obj = parse_object_name(name)
+                if (obj.tid, obj.cid) != (info.tid, info.cid) or not self.owns(obj.tile):
+                    raise ValidationError(f"{name} is outside batch {base}")
+                decision = check_access(AccessOp.QUERY, name, cert.kl_name)
+                if not decision.allow:
+                    raise ValidationError(decision.reason)
+            if self.validator.chain_tenant(cert) != info.tid:
+                raise ValidationError(f"issuer not certified by tenant {info.tid}")
+        except (ValidationError, NameSchemeError) as exc:
+            self.stats.denied_queries += 1
+            log.debug("%s: object fetch denied for %s: %s", self.config.node_id, base, exc)
+            return None
         with self._state:
-            cached = self._odata_cache.get(base)
-            if cached is not None:
-                self._odata_cache.move_to_end(base)
-                return cached
-            row = self.objects.get(base)
-            if row is None:
-                return None
-            self.stats.object_fetches += 1
-            segments = segment(
-                base,
-                encode_packet_stream([row.packet]),
-                max_payload=self.config.max_payload,
-                freshness_ms=self.config.odata_freshness_ms,
-                sign=self._sign,
-            )
-            self._odata_cache[base] = segments
-            while len(self._odata_cache) > 256:
-                self._odata_cache.popitem(last=False)
-            return segments
+            rows = [self.objects[n].packet for n in info.names if n in self.objects]
+            self.stats.object_fetches += len(rows)
+        return segment(
+            base,
+            encode_packet_stream(rows),
+            max_payload=self.config.max_payload,
+            freshness_ms=self.config.qdata_freshness_ms,
+            sign=self._sign,
+        )
 
     # --- writes -----------------------------------------------------------------
 
@@ -374,7 +385,6 @@ class DatabaseEngine:
                         del self._groups[group_key]
                         if self.cbf is not None:
                             downs.extend(self.cbf.remove(bf_key(str(prefix), row.tid, row.cid)))
-                self._odata_cache.pop(oname, None)
                 self._invalidate(prefix)
                 self.stats.deletes += 1
                 status = DELETE_OK

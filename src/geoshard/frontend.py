@@ -2,9 +2,13 @@
 
 A range query runs in two phases: tile-querying (tessellate the box,
 optionally pre-filter void tiles through the Bloom server, fan the
-tile-queries out in parallel) and post-filtering (validate provenance,
-resolve references to masters, keep the objects that actually satisfy the
-spatial and temporal predicates).
+tile-queries out in parallel) and post-filtering. The post-filter keeps one
+copy per object identity (tid, cid, uid, oid), checking the provenance of a
+copy only while its identity is unresolved; fetches the masters of the
+remaining references with one batch Interest per owning engine, in
+parallel; and keeps the objects that actually satisfy the spatial and
+temporal predicates. A master that its engine does not return fails the
+query.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from geoshard.geogrid import (
     Geometry,
     GeometryKind,
     TileId,
+    level0,
     parse_feature,
 )
 from geoshard.icn.clock import system_clock
@@ -33,12 +38,18 @@ from geoshard.icn.packets import DataPacket, decode_packet_stream
 from geoshard.naming import (
     delete_name,
     ip_res_name,
+    object_batch,
     object_name,
     parse_object_name,
     route_prefix,
     tile_query_name,
 )
-from geoshard.objects import build_object_packets, decode_object_payload, replication_tiles
+from geoshard.objects import (
+    ObjectPayload,
+    build_object_packets,
+    decode_object_payload,
+    replication_tiles,
+)
 from geoshard.tessellate import PeriodSet, constrained_tessellation, temporal_decompose
 from geoshard.trust import (
     Identity,
@@ -268,28 +279,32 @@ class Frontend:
 
         names = self.spatio_temporal_subqueries(tiles, periods, q.tid, q.cid)
         stats.subqueries = len(names)
-        payloads = self._fetch_all(names, q.parallelism)
+        payloads = self._fetch_all([(n, None) for n in names], q.parallelism)
         t3 = self.clock()
         stats.batch_ms = (t3 - t2) * 1000
 
-        objects = self._collect(payloads, stats)
+        objects = self._collect(payloads, stats, q.parallelism)
         kept = [
             f
             for f in objects
             if spatial_match(f.geometry, q.bbox, q.mode) and temporal_match(f.valid_time, q.interval)
         ]
-        kept.sort(key=lambda f: f.oid)
+        kept.sort(key=lambda f: (f.oid, f.uid))
         stats.postfilter_ms = (self.clock() - t3) * 1000
         return QueryResult(kept, stats)
 
-    def _fetch_all(self, names: list[Name], parallelism: int) -> list[bytes]:
-        def fetch(name: Name) -> bytes:
+    def _fetch_all(self, requests: list[tuple[Name, bytes | None]], parallelism: int) -> list[bytes]:
+        """Payloads of (name, application parameters) requests, in order."""
+
+        def fetch(request: tuple[Name, bytes | None]) -> bytes:
+            name, params = request
             try:
                 return self.consumer.get(
                     name,
                     lifetime_ms=self.lifetime_ms,
                     retries=self.retries,
                     sign=self._sign_interest,
+                    app_params=params,
                     validate=self._validate,
                 )
             except GetTimeoutError:
@@ -297,66 +312,74 @@ class Frontend:
             except ValidationError as exc:
                 raise RangeQueryError(name, f"validation: {exc}") from None
 
-        if not names:
+        if not requests:
             return []
-        if len(names) == 1:
-            return [fetch(names[0])]
-        with ThreadPoolExecutor(max_workers=min(parallelism, len(names))) as pool:
-            return list(pool.map(fetch, names))
+        if len(requests) == 1:
+            return [fetch(requests[0])]
+        with ThreadPoolExecutor(max_workers=min(parallelism, len(requests))) as pool:
+            return list(pool.map(fetch, requests))
 
-    def _collect(self, payloads: list[bytes], stats: QueryStats) -> list[Feature]:
-        """Validate, dedup by oid, resolve references to masters."""
-        features: dict[str, Feature] = {}
-        master_cache: dict[Name, Feature] = {}
+    def _collect(self, payloads: list[bytes], stats: QueryStats, parallelism: int) -> list[Feature]:
+        """One feature per object identity; references resolved to their masters.
+
+        A copy is verified only while its identity is unresolved, so a copy
+        that fails verification leaves later copies eligible.
+        """
+        features: dict[ObjectKey, Feature] = {}
+        refs: dict[ObjectKey, Name] = {}  # identity -> master name
         for raw in payloads:
             for pkt in decode_packet_stream(raw):
-                if not isinstance(pkt, DataPacket):
-                    stats.validation_warnings += 1
-                    continue
                 try:
-                    self._check_provenance(pkt)
-                    info = parse_object_name(pkt.name)
-                    if info.oid in features:
+                    key = _object_key(pkt)
+                    if key in features:
                         continue
                     payload = decode_object_payload(pkt.payload)
+                    if payload.is_reference and key in refs:
+                        continue
+                    self._check_provenance(pkt)
                     if payload.is_reference:
-                        feature = self._resolve_master(payload.master_name, master_cache)
+                        refs[key] = _master_of(payload, key)
                     else:
-                        feature = parse_feature(payload.body)
-                except RangeQueryError:
-                    raise
+                        features[key] = parse_feature(payload.body)
                 except (ValidationError, ValueError) as exc:
                     stats.validation_warnings += 1
                     log.warning("dropping object %s: %s", pkt.name, exc)
-                    continue
-                features[info.oid] = feature
+        pending = {master: key for key, master in refs.items() if key not in features}
+        if pending:
+            features.update(self._fetch_masters(pending, stats, parallelism))
         return list(features.values())
 
-    def _resolve_master(self, master: Name, cache: dict[Name, Feature]) -> Feature:
-        got = cache.get(master)
-        if got is not None:
-            return got
-        try:
-            raw = self.consumer.get(
-                master,
-                lifetime_ms=self.lifetime_ms,
-                retries=self.retries,
-                sign=self._sign_interest,
-                validate=self._validate,
-            )
-        except GetTimeoutError:
-            raise RangeQueryError(master, "master fetch timeout") from None
-        inner = decode_packet_stream(raw)
-        if len(inner) != 1:
-            raise ValidationError(f"master fetch for {master} returned {len(inner)} packets")
-        pkt = inner[0]
-        self._check_provenance(pkt)
-        payload = decode_object_payload(pkt.payload)
-        if payload.is_reference:
-            raise ValidationError(f"{master} resolved to another reference")
-        feature = parse_feature(payload.body)
-        cache[master] = feature
-        return feature
+    def _fetch_masters(
+        self, missing: dict[Name, ObjectKey], stats: QueryStats, parallelism: int
+    ) -> dict[ObjectKey, Feature]:
+        """Fetch masters with one batch per (owning level-0 tile, tid, cid).
+
+        Pops each master that comes back from `missing`; any left over fail
+        the query.
+        """
+        batches: dict[tuple[TileId, str, str], list[Name]] = {}
+        for master in sorted(missing):
+            info = parse_object_name(master)
+            batches.setdefault((level0(info.tile), info.tid, info.cid), []).append(master)
+        requests = [object_batch(*group, names) for group, names in batches.items()]
+        found: dict[ObjectKey, Feature] = {}
+        for raw in self._fetch_all(requests, parallelism):
+            for pkt in decode_packet_stream(raw):
+                key = missing.pop(pkt.name, None) if isinstance(pkt, DataPacket) else None
+                try:
+                    if key is None:
+                        raise ValidationError(f"unrequested packet {pkt.name}")
+                    self._check_provenance(pkt)
+                    payload = decode_object_payload(pkt.payload)
+                    if payload.is_reference:
+                        raise ValidationError(f"{pkt.name} is a reference, not a master")
+                    found[key] = parse_feature(payload.body)
+                except (ValidationError, ValueError) as exc:
+                    stats.validation_warnings += 1
+                    log.warning("dropping master %s: %s", pkt.name, exc)
+        if missing:
+            raise RangeQueryError(min(missing), f"master not returned ({len(missing)} missing)")
+        return found
 
     # --- insert -----------------------------------------------------------------
 
@@ -391,9 +414,7 @@ class Frontend:
         packets = build_object_packets(feature, self._sign_data, self.odata_freshness_ms)
         by_endpoint: dict[str, list] = {}
         for tile, pkt in packets:
-            l0 = tile
-            while l0.level > 0:
-                l0 = TileId(l0.level - 1, l0.lng_idx // 10, l0.lat_idx // 10)
+            l0 = level0(tile)
             try:
                 endpoint = self._resolve_endpoint(l0)
             except GetTimeoutError:
@@ -439,6 +460,25 @@ class Frontend:
                 if close:
                     close()
             self._transports.clear()
+
+
+ObjectKey = tuple[str, str, str, str]  # (tid, cid, uid, oid)
+
+
+def _object_key(pkt) -> ObjectKey:
+    if not isinstance(pkt, DataPacket):
+        raise ValidationError(f"not a Data packet: {pkt!r}")
+    info = parse_object_name(pkt.name)
+    return info.tid, info.cid, info.uid, info.oid
+
+
+def _master_of(payload: ObjectPayload, key: ObjectKey) -> Name:
+    """The master a reference names; it must be a copy of the same object."""
+    master = payload.master_name
+    info = parse_object_name(master)
+    if (info.tid, info.cid, info.uid, info.oid) != key:
+        raise ValidationError(f"reference to another object: {master}")
+    return master
 
 
 def _parse_geometry(geom: dict) -> Geometry:

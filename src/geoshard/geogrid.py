@@ -265,6 +265,12 @@ def parent(t: TileId) -> TileId:
     return TileId(t.level - 1, t.lng_idx // AXIS_FACTOR, t.lat_idx // AXIS_FACTOR)
 
 
+def level0(t: TileId) -> TileId:
+    """The level-0 tile containing `t` (`t` itself at level 0)."""
+    s = 10 ** t.level
+    return TileId(0, t.lng_idx // s, t.lat_idx // s)
+
+
 def tiles_overlapping_box(box: BBox, level: int) -> set[TileId]:
     """Level tiles whose half-open square has positive overlap with `box`."""
     _check_level(level)

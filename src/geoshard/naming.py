@@ -1,6 +1,9 @@
 """Name schemes for stored objects, tile queries, address resolution and commands.
 
   object    ndn:/<tile-prefix>/DATA/<tid>/<cid>/<uid>/<oid>
+  batch     ndn:/<level-0 route prefix>/DATA/<tid>/<cid>/<digest>
+            fetches the objects named in the Interest's application
+            parameters; <digest> is the SHA-256 of those parameters
   query     ndn:/<tile-prefix>/TILE/<tid>/<cid>[/T/<size-min>/<start-min>]
   address   ndn:/<tile-prefix>/IP-RES
   delete    <object name>/DELETE
@@ -12,7 +15,10 @@ The generic (non-geographic) scheme used by the address-book style demo is
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from hashlib import sha256
+from typing import Iterable
 
 from geoshard.geogrid import GPS_ID, ROOT_COMPONENT, GridError, TileId, parse_tile_prefix, tile_prefix
 from geoshard.icn.names import Name
@@ -54,6 +60,14 @@ def route_prefix(tile: TileId) -> Name:
 
 def object_name(tile: TileId, tid: str, cid: str, uid: str, oid: str) -> Name:
     return tile_prefix(tile).append(DATA_MARK, tid, cid, uid, oid)
+
+
+def object_batch(tile: TileId, tid: str, cid: str, names: Iterable[Name]) -> tuple[Name, bytes]:
+    """(batch name, application parameters) fetching `names` from the engine
+    that owns level-0 `tile`."""
+    params = json.dumps([list(n.components) for n in names]).encode()
+    name = route_prefix(tile).append(DATA_MARK, tid, cid, sha256(params).hexdigest())
+    return name, params
 
 
 def tile_query_name(
@@ -154,6 +168,35 @@ def parse_tile_query_name(name: Name) -> TileQueryInfo:
             raise NameSchemeError(f"bad period components in {name}") from None
         return TileQueryInfo(tile, rest[0], rest[1], (start, size))
     raise NameSchemeError(f"bad tile query name: {name}")
+
+
+@dataclass(frozen=True, slots=True)
+class ObjectBatchInfo:
+    tile: TileId  # level 0
+    tid: str
+    cid: str
+    names: tuple[Name, ...]
+
+
+def parse_object_batch(name: Name, params: bytes | None) -> ObjectBatchInfo:
+    """Inverse of :func:`object_batch`; the digest must match the parameters."""
+    c = name.components
+    if len(c) != 7 or c[3] != DATA_MARK:
+        raise NameSchemeError(f"bad object batch name: {name}")
+    try:
+        tile = parse_tile_prefix(Name(c[:3] + (GPS_ID,)))
+    except GridError as exc:
+        raise NameSchemeError(str(exc)) from None
+    if params is None or sha256(params).hexdigest() != c[6]:
+        raise NameSchemeError(f"parameters do not match the digest of {name}")
+    try:
+        raw = json.loads(params)
+        if not isinstance(raw, list) or not all(isinstance(comps, list) for comps in raw):
+            raise ValueError("expected a list of component lists")
+        names = tuple(Name(comps) for comps in raw)
+    except (TypeError, ValueError) as exc:
+        raise NameSchemeError(f"bad parameters of {name}: {exc}") from None
+    return ObjectBatchInfo(tile, c[4], c[5], names)
 
 
 def parse_delete_name(name: Name) -> ObjectNameInfo:

@@ -131,4 +131,4 @@ class StoredObject:
         if self.valid_time is None:
             return True
         a, b = self.valid_time
-        return a < end_s and b >= start_s
+        return a <= end_s and b >= start_s

@@ -19,6 +19,7 @@ import struct
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from hashlib import sha256
 from typing import Callable
 
@@ -38,6 +39,7 @@ from geoshard.icn.packets import (
 )
 from geoshard.naming import (
     CERT_ROOT,
+    DATA_MARK,
     KeyLocatorInfo,
     NameSchemeError,
     is_ogb_name,
@@ -71,11 +73,27 @@ class UnknownKeyLocator(ValidationError):
 
 
 # --- raw signing ------------------------------------------------------------
+#
+# Loading an Ed25519 key costs about as much as one signature, so loaded key
+# objects are kept per raw key, in a bounded cache; the signatures themselves
+# are deterministic and do not depend on it.
+
+_KEY_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _ed25519_private(raw: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(raw)
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _ed25519_public(raw: bytes) -> Ed25519PublicKey:
+    return Ed25519PublicKey.from_public_bytes(raw)
 
 
 def sign_bytes(scheme: int, private: bytes, data: bytes) -> bytes:
     if scheme == SCHEME_ED25519:
-        return Ed25519PrivateKey.from_private_bytes(private).sign(data)
+        return _ed25519_private(private).sign(data)
     if scheme == SCHEME_HMAC:
         return hmac.new(private, data, sha256).digest()
     raise TrustError(f"unknown signature scheme {scheme}")
@@ -84,7 +102,7 @@ def sign_bytes(scheme: int, private: bytes, data: bytes) -> bytes:
 def verify_bytes(scheme: int, public: bytes, data: bytes, sig: bytes) -> bool:
     if scheme == SCHEME_ED25519:
         try:
-            Ed25519PublicKey.from_public_bytes(public).verify(sig, data)
+            _ed25519_public(public).verify(sig, data)
             return True
         except InvalidSignature:
             return False
@@ -412,8 +430,9 @@ def _target_ids(op: AccessOp, target: Name) -> tuple[str, str | None]:
             info = parse_object_name(target)
             return info.did, info.uid
         if op is AccessOp.QUERY:
-            q = parse_tile_query_name(target)
-            return q.did, None
+            if DATA_MARK in target.components:  # an object read by a batch fetch
+                return parse_object_name(target).did, None
+            return parse_tile_query_name(target).did, None
         info = parse_delete_name(target)
         return info.did, info.uid
     if op is AccessOp.INSERT:

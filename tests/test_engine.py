@@ -14,11 +14,18 @@ from geoshard.engine import (
     STATUS_OK,
     STATUS_WRONG_SHARD,
 )
-from geoshard.geogrid import TileId, parse_feature
+from geoshard.geogrid import TileId, level0, parse_feature
 from geoshard.icn import InterestPacket, Name
 from geoshard.icn.clock import ManualClock
 from geoshard.icn.packets import DataPacket, decode_packet_stream, reassemble
-from geoshard.naming import delete_name, ip_res_name, object_name, tile_query_name
+from geoshard.naming import (
+    delete_name,
+    ip_res_name,
+    object_batch,
+    object_name,
+    parse_object_name,
+    tile_query_name,
+)
 from geoshard.objects import build_object_packets, decode_object_payload
 from geoshard.trust import (
     SCHEME_HMAC,
@@ -254,6 +261,13 @@ def test_temporal_period_filter():
     assert oids == {"in", "timeless"}
 
 
+def test_period_end_is_closed():
+    env = Env()
+    env.insert_feature(feature_dict("starts-at-end", (12.82, 41.82), valid=(600, 700)))
+    rows = env.query(TileId.at(2, 12.82, 41.82), period=(0, 10))  # seconds 0..600
+    assert {r.name[-1] for r in rows} == {"starts-at-end"}
+
+
 def test_cbf_transitions_published():
     env = Env(bf=(256, 3))
     published = []
@@ -285,16 +299,47 @@ def test_ip_res_reply():
     ) is None
 
 
+def _batch(oname, signer):
+    name, params = object_batch(level0(parse_object_name(oname).tile), "Foo", "poi", [oname])
+    interest = InterestPacket(name, app_params=params)
+    return name, (interest if signer is None else sign_interest(signer, interest))
+
+
 def test_object_fetch_by_name():
     env = Env()
     env.insert_feature(feature_dict("direct", (12.95, 41.95)))
     tile = TileId.at(2, 12.95, 41.95)
     oname = object_name(tile, "Foo", "poi", "u1", "direct")
-    segments = env.engine.handle_object_fetch(oname, InterestPacket(oname))
+    name, interest = _batch(oname, env.users["u1"])
+    segments = env.engine.handle_object_fetch(name, interest)
     inner = decode_packet_stream(reassemble(segments))
     assert len(inner) == 1
     assert inner[0].name == oname
     assert not decode_object_payload(inner[0].payload).is_reference
+
+
+def test_object_fetch_access():
+    env = Env()
+    env.insert_feature(feature_dict("guarded", (12.96, 41.96)))
+    oname = object_name(TileId.at(2, 12.96, 41.96), "Foo", "poi", "u1", "guarded")
+    for signer in (None, env.other_user):  # unsigned; a Bar user asking for Foo data
+        name, interest = _batch(oname, signer)
+        before = env.engine.stats.denied_queries
+        assert env.engine.handle_object_fetch(name, interest) is None
+        assert env.engine.stats.denied_queries == before + 1
+    name, interest = _batch(oname, env.users["reader"])  # read-only Foo user
+    inner = decode_packet_stream(reassemble(env.engine.handle_object_fetch(name, interest)))
+    assert [p.name for p in inner] == [oname]
+
+
+def test_object_fetch_digest_must_match_parameters():
+    env = Env()
+    oname = object_name(TileId.at(2, 12.97, 41.97), "Foo", "poi", "u1", "a")
+    name, _ = _batch(oname, None)
+    other = object_name(TileId.at(2, 12.97, 41.97), "Foo", "poi", "u1", "b")
+    _, params = object_batch(TileId.at(0, 12, 41), "Foo", "poi", [other])
+    forged = sign_interest(env.users["u1"], InterestPacket(name, app_params=params))
+    assert env.engine.handle_interest(name, forged) is None
 
 
 def test_bulk_tcp_roundtrip():

@@ -1,12 +1,14 @@
 import json
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 
 from geoshard.cluster import Cluster, ClusterSpec, UserSpec, parse_cluster_config
-from geoshard.engine import STATUS_OK
+from geoshard.engine import DELETE_OK, STATUS_OK
 from geoshard.frontend import (
+    QueryStats,
     RangeQuery,
     RangeQueryError,
     ServiceClient,
@@ -14,8 +16,11 @@ from geoshard.frontend import (
 )
 from geoshard.geogrid import BBox, FeatureError, TileId, parse_feature
 from geoshard.icn.names import Name
+from geoshard.icn.packets import InterestPacket, encode_packet_stream
+from geoshard.naming import delete_name, object_name
+from geoshard.objects import build_object_packets, decode_object_payload
 from geoshard.tessellate import temporal_decompose
-from geoshard.trust import SCHEME_HMAC
+from geoshard.trust import SCHEME_HMAC, data_signer, sign_interest
 
 
 def make_spec(**kw):
@@ -180,6 +185,64 @@ def test_boundary_object_fetched_then_postfiltered(cluster):
     )
     assert res2.oids == {"edge"}
     fe.delete("edge", "Foo", "poi", "u1", {"type": "Point", "coordinates": [12.61, 41.61]})
+
+
+def test_oid_shared_across_users_returns_both(cluster):
+    fe1 = cluster.frontend_as("Foo", "poi", "u1")
+    fe2 = cluster.frontend_as("Foo", "poi", "u2")
+    assert fe1.insert(feature_dict("x", (13.31, 41.31))).ok
+    assert fe2.insert(feature_dict("x", (13.312, 41.312), uid="u2")).ok
+    try:
+        res = fe1.range_query(RangeQuery(BBox.of(13.3, 41.3, 13.32, 41.32), "Foo", "poi", k=5))
+        assert [(f.oid, f.uid) for f in res.objects] == [("x", "u1"), ("x", "u2")]
+    finally:
+        fe1.delete("x", "Foo", "poi", "u1", {"type": "Point", "coordinates": [13.31, 41.31]})
+        fe2.delete("x", "Foo", "poi", "u2", {"type": "Point", "coordinates": [13.312, 41.312]})
+
+
+def test_interval_ending_where_validity_starts(cluster):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    fe.insert(feature_dict("dawn", (13.61, 41.61), valid=(600, 700)))
+    try:
+        assert temporal_decompose((0, 600)).periods == ((0, 10),)  # one period, minutes 0..10
+        q = RangeQuery(BBox.of(13.605, 41.605, 13.615, 41.615), "Foo", "poi", interval=(0, 600), k=5)
+        assert fe.range_query(q).oids == {"dawn"}
+    finally:
+        fe.delete("dawn", "Foo", "poi", "u1", {"type": "Point", "coordinates": [13.61, 41.61]})
+
+
+def test_failed_copy_leaves_later_copies_eligible(cluster):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    feature = parse_feature(feature_dict("twice", (13.71, 41.71)))
+    signer = data_signer(cluster.user_ids[("Foo", "poi", "u1")])
+    (master,) = [
+        p for _, p in build_object_packets(feature, signer)
+        if not decode_object_payload(p.payload).is_reference
+    ]
+    forged = replace(master, signature=bytes(len(master.signature)))
+    stats = QueryStats()
+    payloads = [encode_packet_stream([forged]), encode_packet_stream([master, master])]
+    assert [f.oid for f in fe._collect(payloads, stats, 1)] == ["twice"]
+    assert stats.validation_warnings == 1
+
+
+def test_master_missing_from_batch_fails_the_query(cluster):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    point = {"type": "Point", "coordinates": [13.45, 41.55]}
+    fe.insert(feature_dict("orphan", (13.45, 41.55)))
+    master = object_name(TileId.at(2, 13.45, 41.55), "Foo", "poi", "u1", "orphan")
+    dname = delete_name(master)
+    user = cluster.user_ids[("Foo", "poi", "u1")]
+    reply = cluster.engine("e2").handle_delete(dname, sign_interest(user, InterestPacket(dname)))
+    assert reply.payload == DELETE_OK
+    try:
+        # the level-1 tile answers for this box, with a reference to the deleted master
+        q = RangeQuery(BBox.of(13.4, 41.5, 13.5, 41.6), "Foo", "poi", k=1)
+        with pytest.raises(RangeQueryError) as err:
+            fe.range_query(q)
+        assert err.value.name == master
+    finally:
+        fe.delete("orphan", "Foo", "poi", "u1", point)
 
 
 def test_prefilter_end_to_end(cluster):

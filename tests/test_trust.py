@@ -1,4 +1,8 @@
+import hmac
+from hashlib import sha256
+
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from geoshard.icn import Consumer, Fabric, InterestPacket, Name, Producer
 from geoshard.icn.clock import ManualClock
@@ -18,8 +22,10 @@ from geoshard.trust import (
     make_anchor,
     repo_fetcher,
     serve_certificates,
+    sign_bytes,
     sign_data,
     sign_interest,
+    verify_bytes,
     verify_packet,
 )
 
@@ -51,6 +57,29 @@ def test_sign_verify_roundtrip(scheme):
         signed.name, b"paYload", signed.freshness_ms, signed.key_locator, signed.sig_scheme, signed.signature
     )
     assert not verify_packet(flipped, anchor.cert)
+
+
+def test_cached_ed25519_keys_sign_and_verify_like_fresh_ones(pki):
+    anchor, tenant, user1, _ = pki
+    cert, data = user1.cert, b"the same message"
+    fresh = Ed25519PrivateKey.from_private_bytes(user1.private).sign(data)
+    for _ in range(3):  # the first call loads the key, later ones reuse it
+        assert sign_bytes(SCHEME_ED25519, user1.private, data) == fresh
+        assert verify_bytes(SCHEME_ED25519, cert.public_key, data, fresh)
+    # a cached success does not carry over to a tampered message or signature
+    assert not verify_bytes(SCHEME_ED25519, cert.public_key, b"the same messagE", fresh)
+    tampered = bytes([fresh[0] ^ 1]) + fresh[1:]
+    assert not verify_bytes(SCHEME_ED25519, cert.public_key, data, tampered)
+    assert verify_bytes(SCHEME_ED25519, cert.public_key, data, fresh)
+
+
+def test_hmac_sign_verify_unchanged():
+    secret, data = b"k" * 32, b"message"
+    mac = hmac.new(secret, data, sha256).digest()
+    assert sign_bytes(SCHEME_HMAC, secret, data) == mac
+    assert verify_bytes(SCHEME_HMAC, secret, data, mac)
+    assert not verify_bytes(SCHEME_HMAC, secret, b"messagE", mac)
+    assert not verify_bytes(SCHEME_HMAC, b"j" * 32, data, mac)
 
 
 def test_verify_with_sibling_cert_fails(pki):
@@ -190,6 +219,9 @@ def test_access_on_geographic_names():
     q = tile_query_name(tile, "Foo", "poi")
     assert check_access(AccessOp.QUERY, q, key_locator_name("Foo.poi", "u2", "r")).allow
     assert not check_access(AccessOp.QUERY, q, key_locator_name("Bar.poi", "u2", "r")).allow
+    # reading an object by name (batch fetch) follows the query rule
+    assert check_access(AccessOp.QUERY, oname, key_locator_name("Foo.poi", "u2", "r")).allow
+    assert not check_access(AccessOp.QUERY, oname, key_locator_name("Bar.poi", "u1", "rw")).allow
     d = delete_name(oname)
     assert not check_access(AccessOp.DELETE, d, kl_u2).allow  # uid mismatch denied
     assert check_access(AccessOp.DELETE, d, kl_u1).allow
