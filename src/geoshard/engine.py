@@ -76,6 +76,9 @@ DELETE_OK = b"OK"
 DELETE_NOT_FOUND = b"NOT-FOUND"
 DELETE_DENIED = b"DENIED"
 
+# tile-query replies an engine caches; past this the oldest is evicted
+QDATA_CAPACITY = 512
+
 
 @dataclass
 class CostModel:
@@ -148,7 +151,7 @@ class DatabaseEngine:
         # one name table per grid level: tile prefix -> object names
         self.tile_tables: list[dict[Name, set[Name]]] = [dict() for _ in LEVELS]
         self._groups: dict[tuple[Name, str, str], set[Name]] = {}
-        self._qdata: dict[Name, list[DataPacket]] = {}
+        self._qdata: dict[Name, tuple[Name, list[DataPacket]]] = {}  # query -> (prefix, reply)
         self._qdata_by_prefix: dict[Name, set[Name]] = {}
         self._owned_prefixes = tuple(route_prefix(t) for t in config.tiles)
         self.cbf = (
@@ -222,7 +225,7 @@ class DatabaseEngine:
                 cached = self._qdata.get(base)
                 if cached is not None:
                     self.stats.qdata_hits += 1
-                    return cached
+                    return cached[1]
             rows = self._select(info.tile, info.tid, info.cid, info.period)
             payload = encode_packet_stream(r.packet for r in rows)
             segments = segment(
@@ -233,9 +236,19 @@ class DatabaseEngine:
                 sign=self._sign,
             )
             if self.config.qdata_cache_enabled:
-                self._qdata[base] = segments
-                self._qdata_by_prefix.setdefault(route_prefix(info.tile), set()).add(base)
+                self._cache_reply(base, route_prefix(info.tile), segments)
             return segments
+
+    def _cache_reply(self, qname: Name, prefix: Name, segments: list[DataPacket]) -> None:
+        if len(self._qdata) >= QDATA_CAPACITY:
+            oldest = next(iter(self._qdata))
+            old_prefix, _ = self._qdata.pop(oldest)
+            peers = self._qdata_by_prefix[old_prefix]
+            peers.discard(oldest)
+            if not peers:
+                del self._qdata_by_prefix[old_prefix]
+        self._qdata[qname] = (prefix, segments)
+        self._qdata_by_prefix.setdefault(prefix, set()).add(qname)
 
     def _select(
         self, tile: TileId, tid: str, cid: str, period: tuple[int, int] | None
@@ -395,7 +408,7 @@ class DatabaseEngine:
         stale = self._qdata_by_prefix.pop(prefix, None)
         if stale:
             for qname in stale:
-                self._qdata.pop(qname, None)
+                del self._qdata[qname]
             self.stats.qdata_invalidations += len(stale)
 
     def _publish(self, direction: int, buckets: list[int]) -> None:

@@ -3,12 +3,21 @@
 A range query runs in two phases: tile-querying (tessellate the box,
 optionally pre-filter void tiles through the Bloom server, fan the
 tile-queries out in parallel) and post-filtering. The post-filter keeps one
-copy per object identity (tid, cid, uid, oid), checking the provenance of a
-copy only while its identity is unresolved; fetches the masters of the
-remaining references with one batch Interest per owning engine, in
-parallel; and keeps the objects that actually satisfy the spatial and
-temporal predicates. A master that its engine does not return fails the
-query.
+copy per object identity (tid, cid, uid, oid) and tests each copy of an
+unresolved identity in this order, cheapest first:
+
+1. temporal: the validity interval in the payload header;
+2. spatial: for a reference, the extent it carries (include: extent inside
+   the box, exact for points; intersect: extent touches the box, a
+   necessary condition); for a master, the exact match on its geometry
+   and validity;
+3. provenance: the owner's signature and certificate chain.
+
+A copy that fails a step is dropped without settling its identity, so
+later copies stay eligible. The masters of the references that pass are
+fetched with one batch Interest per owning engine, in parallel; each takes
+the exact match and then the provenance check. A master that its engine
+does not return fails the query.
 """
 
 from __future__ import annotations
@@ -45,9 +54,10 @@ from geoshard.naming import (
     tile_query_name,
 )
 from geoshard.objects import (
-    ObjectPayload,
+    Extent,
     build_object_packets,
     decode_object_payload,
+    geometry_extent,
     replication_tiles,
 )
 from geoshard.tessellate import PeriodSet, constrained_tessellation, temporal_decompose
@@ -138,26 +148,37 @@ class DeleteReport:
         return bool(self.per_tile) and all(s == "OK" for _, s in self.per_tile)
 
 
-def _boxes_touch(a: BBox, b: BBox) -> bool:
-    return (
-        a.min.lng <= b.max.lng
-        and b.min.lng <= a.max.lng
-        and a.min.lat <= b.max.lat
-        and b.min.lat <= a.max.lat
-    )
-
-
 def spatial_match(geometry: Geometry, bbox: BBox, mode: str) -> bool:
     """Intersect: any point inside (closed); include: the whole geometry inside.
 
     Geometries without native points are judged on their bounding box.
     """
     if geometry.kind is GeometryKind.OTHER:
-        if mode == "include":
-            return bbox.contains_box(geometry.bbox)
-        return _boxes_touch(bbox, geometry.bbox)
+        return extent_match(geometry_extent(geometry), bbox, mode)
     inside = (bbox.contains(p) for p in geometry.points)
     return all(inside) if mode == "include" else any(inside)
+
+
+def extent_match(extent: Extent, bbox: BBox, mode: str) -> bool:
+    """Spatial test on an object's extent (west, south, east, north).
+
+    Implied by `spatial_match` on the object's geometry; equal to it for
+    include on points, and its definition for other kinds.
+    """
+    west, south, east, north = extent
+    if mode == "include":
+        return (
+            bbox.min.lng <= west
+            and bbox.min.lat <= south
+            and east <= bbox.max.lng
+            and north <= bbox.max.lat
+        )
+    return (
+        west <= bbox.max.lng
+        and bbox.min.lng <= east
+        and south <= bbox.max.lat
+        and bbox.min.lat <= north
+    )
 
 
 def temporal_match(valid_time: tuple[int, int] | None, interval: tuple[int, int] | None) -> bool:
@@ -283,15 +304,10 @@ class Frontend:
         t3 = self.clock()
         stats.batch_ms = (t3 - t2) * 1000
 
-        objects = self._collect(payloads, stats, q.parallelism)
-        kept = [
-            f
-            for f in objects
-            if spatial_match(f.geometry, q.bbox, q.mode) and temporal_match(f.valid_time, q.interval)
-        ]
-        kept.sort(key=lambda f: (f.oid, f.uid))
+        objects = self._collect(payloads, q, stats)
+        objects.sort(key=lambda f: (f.oid, f.uid))
         stats.postfilter_ms = (self.clock() - t3) * 1000
-        return QueryResult(kept, stats)
+        return QueryResult(objects, stats)
 
     def _fetch_all(self, requests: list[tuple[Name, bytes | None]], parallelism: int) -> list[bytes]:
         """Payloads of (name, application parameters) requests, in order."""
@@ -319,14 +335,15 @@ class Frontend:
         with ThreadPoolExecutor(max_workers=min(parallelism, len(requests))) as pool:
             return list(pool.map(fetch, requests))
 
-    def _collect(self, payloads: list[bytes], stats: QueryStats, parallelism: int) -> list[Feature]:
-        """One feature per object identity; references resolved to their masters.
+    def _collect(self, payloads: list[bytes], q: RangeQuery, stats: QueryStats) -> list[Feature]:
+        """The objects matching `q`, one per identity; references resolved.
 
-        A copy is verified only while its identity is unresolved, so a copy
-        that fails verification leaves later copies eligible.
+        Each copy of an unresolved identity is tested against `q` and then
+        provenance-checked; a copy that fails either leaves later copies
+        eligible.
         """
         features: dict[ObjectKey, Feature] = {}
-        refs: dict[ObjectKey, Name] = {}  # identity -> master name
+        refs: dict[ObjectKey, TileId] = {}  # identity -> master's level-2 tile
         for raw in payloads:
             for pkt in decode_packet_stream(raw):
                 try:
@@ -336,23 +353,35 @@ class Frontend:
                     payload = decode_object_payload(pkt.payload)
                     if payload.is_reference and key in refs:
                         continue
-                    self._check_provenance(pkt)
+                    if not temporal_match(payload.valid_time, q.interval):
+                        continue
                     if payload.is_reference:
-                        refs[key] = _master_of(payload, key)
+                        extent, master_tile = payload.reference()
+                        if not extent_match(extent, q.bbox, q.mode):
+                            continue
+                        self._check_provenance(pkt)
+                        refs[key] = master_tile
                     else:
-                        features[key] = parse_feature(payload.body)
+                        feature = parse_feature(payload.body)
+                        if not _matches(feature, q):
+                            continue
+                        self._check_provenance(pkt)
+                        features[key] = feature
                 except (ValidationError, ValueError) as exc:
                     stats.validation_warnings += 1
                     log.warning("dropping object %s: %s", pkt.name, exc)
-        pending = {master: key for key, master in refs.items() if key not in features}
+        pending = {
+            object_name(tile, *key): key for key, tile in refs.items() if key not in features
+        }
         if pending:
-            features.update(self._fetch_masters(pending, stats, parallelism))
+            features.update(self._fetch_masters(pending, q, stats))
         return list(features.values())
 
     def _fetch_masters(
-        self, missing: dict[Name, ObjectKey], stats: QueryStats, parallelism: int
+        self, missing: dict[Name, ObjectKey], q: RangeQuery, stats: QueryStats
     ) -> dict[ObjectKey, Feature]:
-        """Fetch masters with one batch per (owning level-0 tile, tid, cid).
+        """Fetch masters with one batch per (owning level-0 tile, tid, cid);
+        keep those matching `q`.
 
         Pops each master that comes back from `missing`; any left over fail
         the query.
@@ -363,17 +392,20 @@ class Frontend:
             batches.setdefault((level0(info.tile), info.tid, info.cid), []).append(master)
         requests = [object_batch(*group, names) for group, names in batches.items()]
         found: dict[ObjectKey, Feature] = {}
-        for raw in self._fetch_all(requests, parallelism):
+        for raw in self._fetch_all(requests, q.parallelism):
             for pkt in decode_packet_stream(raw):
                 key = missing.pop(pkt.name, None) if isinstance(pkt, DataPacket) else None
                 try:
                     if key is None:
                         raise ValidationError(f"unrequested packet {pkt.name}")
-                    self._check_provenance(pkt)
                     payload = decode_object_payload(pkt.payload)
                     if payload.is_reference:
                         raise ValidationError(f"{pkt.name} is a reference, not a master")
-                    found[key] = parse_feature(payload.body)
+                    feature = parse_feature(payload.body)
+                    if not _matches(feature, q):
+                        continue
+                    self._check_provenance(pkt)
+                    found[key] = feature
                 except (ValidationError, ValueError) as exc:
                     stats.validation_warnings += 1
                     log.warning("dropping master %s: %s", pkt.name, exc)
@@ -472,13 +504,11 @@ def _object_key(pkt) -> ObjectKey:
     return info.tid, info.cid, info.uid, info.oid
 
 
-def _master_of(payload: ObjectPayload, key: ObjectKey) -> Name:
-    """The master a reference names; it must be a copy of the same object."""
-    master = payload.master_name
-    info = parse_object_name(master)
-    if (info.tid, info.cid, info.uid, info.oid) != key:
-        raise ValidationError(f"reference to another object: {master}")
-    return master
+def _matches(feature: Feature, q: RangeQuery) -> bool:
+    """The exact spatial and temporal predicates of `q`."""
+    return spatial_match(feature.geometry, q.bbox, q.mode) and temporal_match(
+        feature.valid_time, q.interval
+    )
 
 
 def _parse_geometry(geom: dict) -> Geometry:

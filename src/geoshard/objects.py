@@ -3,9 +3,17 @@
 A stored object is a signed Data packet named
 ``ndn:/<tile-prefix>/DATA/<tid>/<cid>/<uid>/<oid>``. The single master copy
 carries the GeoJSON bytes; every other intersecting tile, at every level,
-holds a reference whose payload is just the master's name. The payload
-header also carries the optional validity interval so engines can filter
-temporal sub-queries without parsing GeoJSON.
+holds a reference. The payload header also carries the optional validity
+interval so engines can filter temporal sub-queries without parsing GeoJSON.
+
+A reference body is the fixed record ``!ddddii``: the object's extent
+(west, south, east, north) and the level-2 tile indices of its master. The
+master's name is that tile plus the reference's own (tid, cid, uid, oid), so
+a reference cannot point at another object. The extent lets a reader test
+the spatial predicate on a reference before checking its signature or
+fetching its master: include is exact on it, intersect is a necessary
+condition. For Point/MultiPoint it is the min/max of the points themselves,
+not ``Geometry.bbox``, whose max corner a single point nudges outwards.
 """
 
 from __future__ import annotations
@@ -14,13 +22,16 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
-from geoshard.geogrid import Feature, LEVELS, TileId, intersecting_tiles
+from geoshard.geogrid import Feature, Geometry, GeometryKind, LEVELS, TileId, intersecting_tiles
 from geoshard.icn.names import Name
 from geoshard.icn.packets import DataPacket
 from geoshard.naming import object_name, parse_object_name, tile_prefix
 
 _FLAG_REFERENCE = 0x01
 _FLAG_INTERVAL = 0x02
+_REFERENCE = struct.Struct("!ddddii")
+
+Extent = tuple[float, float, float, float]  # west, south, east, north
 
 
 class ObjectFormatError(ValueError):
@@ -31,13 +42,14 @@ class ObjectFormatError(ValueError):
 class ObjectPayload:
     is_reference: bool
     valid_time: tuple[int, int] | None
-    body: bytes  # GeoJSON bytes for masters, master name URI for references
+    body: bytes  # GeoJSON bytes for masters, the reference record for references
 
-    @property
-    def master_name(self) -> Name:
+    def reference(self) -> tuple[Extent, TileId]:
+        """(object extent, master's level-2 tile) of a reference."""
         if not self.is_reference:
-            raise ObjectFormatError("masters carry data, not a master name")
-        return Name.parse(self.body.decode())
+            raise ObjectFormatError("masters carry data, not a reference")
+        west, south, east, north, i, j = _REFERENCE.unpack(self.body)
+        return (west, south, east, north), TileId(max(LEVELS), i, j)
 
 
 def encode_object_payload(
@@ -61,7 +73,19 @@ def decode_object_payload(raw: bytes) -> ObjectPayload:
             raise ObjectFormatError("truncated validity interval")
         valid_time = struct.unpack_from("!qq", raw, pos)
         pos += 16
-    return ObjectPayload(bool(flags & _FLAG_REFERENCE), valid_time, raw[pos:])
+    is_reference = bool(flags & _FLAG_REFERENCE)
+    if is_reference and len(raw) - pos != _REFERENCE.size:
+        raise ObjectFormatError("reference body is not one reference record")
+    return ObjectPayload(is_reference, valid_time, raw[pos:])
+
+
+def geometry_extent(g: Geometry) -> Extent:
+    """(west, south, east, north): the points' own min/max, else the bbox."""
+    if g.kind is GeometryKind.OTHER:
+        return g.bbox.min.lng, g.bbox.min.lat, g.bbox.max.lng, g.bbox.max.lat
+    lngs = [p.lng for p in g.points]
+    lats = [p.lat for p in g.points]
+    return min(lngs), min(lats), max(lngs), max(lats)
 
 
 def replication_tiles(feature: Feature) -> list[TileId]:
@@ -87,7 +111,8 @@ def build_object_packets(
     m_tile = master_tile(feature)
     m_name = object_name(m_tile, feature.tid, feature.cid, feature.uid, feature.oid)
     master_body = encode_object_payload(False, feature.valid_time, feature.to_json_bytes())
-    ref_body = encode_object_payload(True, feature.valid_time, str(m_name).encode())
+    record = _REFERENCE.pack(*geometry_extent(feature.geometry), m_tile.lng_idx, m_tile.lat_idx)
+    ref_body = encode_object_payload(True, feature.valid_time, record)
     out = []
     for tile in replication_tiles(feature):
         name = object_name(tile, feature.tid, feature.cid, feature.uid, feature.oid)

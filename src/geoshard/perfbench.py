@@ -178,6 +178,11 @@ def dense_lab_count(degrees: int = 4) -> int:
     return (degrees * 100) ** 2
 
 
+def _below(value: float, edge: float) -> float:
+    """A rounded coordinate kept inside the half-open region below `edge`."""
+    return value if value < edge else round(edge - 1e-6, 6)
+
+
 def sparse_features(
     count: int,
     region: BBox,
@@ -206,8 +211,8 @@ def sparse_features(
             ci, cj = divmod(cell, lat_tiles)
             pts.append(
                 [
-                    round(region.min.lng + (ci + rng.random()) / 100.0, 6),
-                    round(region.min.lat + (cj + rng.random()) / 100.0, 6),
+                    _below(round(region.min.lng + (ci + rng.random()) / 100.0, 6), region.max.lng),
+                    _below(round(region.min.lat + (cj + rng.random()) / 100.0, 6), region.max.lat),
                 ]
             )
         feature = {

@@ -8,6 +8,7 @@ from geoshard.engine import (
     DELETE_OK,
     DatabaseEngine,
     EngineConfig,
+    QDATA_CAPACITY,
     STATUS_DENIED,
     STATUS_DUPLICATE,
     STATUS_MALFORMED,
@@ -141,6 +142,28 @@ def test_write_invalidates_qdata_cache():
     env.insert_feature(feature_dict("o2", (12.301, 41.301)))
     rows = env.query(tile)
     assert {r.name[-1] for r in rows} == {"o1", "o2"}  # no stale cache entry
+
+
+def test_qdata_cache_is_bounded():
+    env = Env()
+    engine = env.engine
+    env.insert_feature(feature_dict("o1", (12.05, 41.05)))
+    first = TileId.at(2, 12.05, 41.05)
+    env.query(first)  # the oldest reply
+    others = [TileId(2, 1210 + i % 50, 4110 + i // 50) for i in range(QDATA_CAPACITY)]
+    for tile in others:
+        env.query(tile)
+    assert len(engine._qdata) == QDATA_CAPACITY
+    assert set().union(*engine._qdata_by_prefix.values()) == set(engine._qdata)
+    # an insert invalidates only the live replies under its prefix
+    invalidations = engine.stats.qdata_invalidations
+    env.insert_feature(feature_dict("o2", (12.051, 41.051)))  # evicted prefix
+    assert engine.stats.qdata_invalidations == invalidations
+    env.insert_feature(feature_dict("o3", (12.215, 41.205)))  # under others[-1]
+    assert engine.stats.qdata_invalidations == invalidations + 1
+    # a repeated query after eviction sees the current rows
+    assert {r.name[-1] for r in env.query(first)} == {"o1", "o2"}
+    assert {r.name[-1] for r in env.query(others[-1])} == {"o3"}
 
 
 def test_tile_query_denied_for_foreign_tenant_user():

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import geoshard.frontend as frontend_mod
 from geoshard.cluster import Cluster, ClusterSpec, UserSpec, parse_cluster_config
 from geoshard.engine import DELETE_OK, STATUS_OK
 from geoshard.frontend import (
@@ -222,8 +223,60 @@ def test_failed_copy_leaves_later_copies_eligible(cluster):
     forged = replace(master, signature=bytes(len(master.signature)))
     stats = QueryStats()
     payloads = [encode_packet_stream([forged]), encode_packet_stream([master, master])]
-    assert [f.oid for f in fe._collect(payloads, stats, 1)] == ["twice"]
+    q = RangeQuery(BBox.of(13.7, 41.7, 13.72, 41.72), "Foo", "poi")
+    assert [f.oid for f in fe._collect(payloads, q, stats)] == ["twice"]
     assert stats.validation_warnings == 1
+
+
+def test_include_query_over_references_fetches_and_checks_nothing(cluster, monkeypatch):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    coords = [(12.83, 42.13), (12.87, 42.67)]
+    geometry = {"type": "MultiPoint", "coordinates": [list(c) for c in coords]}
+    assert fe.insert(feature_dict("wide", coords, multi=True)).ok
+    checked, references = [], []
+    real_check = fe._check_provenance
+    real_decode = frontend_mod.decode_object_payload
+
+    def counting_check(pkt):
+        checked.append(pkt.name)
+        return real_check(pkt)
+
+    def counting_decode(raw):
+        payload = real_decode(raw)
+        references.append(payload.is_reference)
+        return payload
+
+    monkeypatch.setattr(fe, "_check_provenance", counting_check)
+    monkeypatch.setattr(frontend_mod, "decode_object_payload", counting_decode)
+    def fetches():
+        return {n: cluster.engine(n).stats.object_fetches for n in cluster.engines}
+
+    before = fetches()
+    try:
+        # the level-1 tile 12.8/42.1 answers with a reference; one point lies outside
+        box = BBox.of(12.8, 42.1, 12.9, 42.2)
+        assert fe.range_query(RangeQuery(box, "Foo", "poi", mode="include", k=1)).objects == []
+        assert any(references)
+        assert checked == []
+        assert fetches() == before
+        res = fe.range_query(RangeQuery(box, "Foo", "poi", mode="intersect", k=1))
+        assert res.oids == {"wide"}
+        assert checked
+    finally:
+        fe.delete("wide", "Foo", "poi", "u1", geometry)
+
+
+@pytest.mark.parametrize("k", [1, 50])
+def test_include_box_whose_east_edge_passes_through_a_point(cluster, k):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    point = (13.123457, 41.8765)
+    assert fe.insert(feature_dict("east", point)).ok
+    try:
+        box = BBox.of(13.1, 41.87, point[0], 41.88)  # east edge on the point's longitude
+        res = fe.range_query(RangeQuery(box, "Foo", "poi", mode="include", k=k))
+        assert res.oids == {"east"}
+    finally:
+        fe.delete("east", "Foo", "poi", "u1", {"type": "Point", "coordinates": list(point)})
 
 
 def test_master_missing_from_batch_fails_the_query(cluster):

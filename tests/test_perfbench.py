@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import time
@@ -135,6 +137,32 @@ def test_sparse_features_density():
     assert len(cells) <= 0.011 * total  # points stay in the chosen cells
 
 
+def _transit(seed, count):
+    """The benchmark's transit data set: 1-6 points per feature over 12-14 E x 41-43 N."""
+    region = BBox.of(12, 41, 14, 43)
+    return sparse_features(
+        count, region, points_per_feature=(1, 6), tid="Gtfs", uid="bench", cid="stops",
+        seed=seed, with_intervals=True,
+    )
+
+
+def test_sparse_features_stay_off_the_north_and_east_edges():
+    # each of these seeds draws one point that rounds onto the region's edge
+    for seed, count in ((8, 3500), (26, 1000), (30, 600)):
+        for f in _transit(seed, count):
+            for x, y in f["geometry"]["coordinates"]:
+                assert 12 <= x < 14 and 41 <= y < 43
+
+
+def test_sparse_features_unchanged_off_the_edges():
+    # digest of the data before edge points were clamped, with those points
+    # replaced by their clamped values (13.999999 or 42.999999)
+    digest = hashlib.sha256()
+    for seed in range(1, 61):
+        digest.update(json.dumps(_transit(seed, 1000)).encode())
+    assert digest.hexdigest() == "ce39cc3349342c63019ce35eeffce3a5eda227a27a03ca25928af5bc286d3504"
+
+
 def test_square_queries_geometry():
     region = BBox.of(0, 40, 10, 50)
     boxes = square_queries(region, 2500.0, 50, seed=1)  # 2500 km^2 -> 0.5 degrees
@@ -188,7 +216,11 @@ def test_open_loop_overload_shows_rising_latency():
     def call(idx):
         time.sleep(0.004)
 
-    stable = run_open_loop(call, 80, rate_hz=50.0, workers=1, seed=1)
+    # a stable service: latencies jitter around the service time, no trend;
+    # seeded rather than measured, because at alpha 0.05 real jitter alone
+    # shows a trend in about one stable run in twenty
+    rng = random.Random(1)
+    stable = [0.004 + rng.expovariate(1 / 0.0005) for _ in range(80)]
     overloaded = run_open_loop(call, 80, rate_hz=2000.0, workers=1, seed=1)
     assert not mann_kendall_rising(stable)
     assert mann_kendall_rising(overloaded)
