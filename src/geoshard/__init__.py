@@ -19,12 +19,8 @@ from geoshard.icn.names import Name
 from geoshard.tessellate import (
     PeriodSet,
     Tessellation,
-    brute_force_optimal,
     constrained_tessellation,
-    min_stretch,
-    stretch,
     temporal_decompose,
-    tile_stretch,
 )
 
 __all__ = [
@@ -36,18 +32,14 @@ __all__ = [
     "PeriodSet",
     "Tessellation",
     "TileId",
-    "brute_force_optimal",
     "children",
     "constrained_tessellation",
     "intersecting_tiles",
-    "min_stretch",
     "parent",
     "parse_feature",
     "parse_tile_prefix",
-    "stretch",
     "temporal_decompose",
     "tile_bbox",
     "tile_of",
     "tile_prefix",
-    "tile_stretch",
 ]

@@ -6,15 +6,14 @@ store lives), endpoint faces for producers and consumers. Optional TCP
 listeners expose the bulk-insert stream, the front-end JSON service, and a
 packet-level face server for external consumers.
 
-Configuration is an INI file (key-value, human readable); see
-:func:`parse_cluster_config` and the README for the schema.
+Configuration is an INI file (key-value, human readable); its schema is in
+the docstring of :func:`parse_cluster_config`.
 """
 
 from __future__ import annotations
 
 import configparser
 import logging
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,7 +22,6 @@ from geoshard.bloomsvc import BloomClient, BloomFilterServer
 from geoshard.engine import (
     BulkInsertClient,
     BulkInsertServer,
-    CostModel,
     DatabaseEngine,
     EngineConfig,
 )
@@ -32,7 +30,7 @@ from geoshard.geogrid import TileId
 from geoshard.icn.clock import system_clock
 from geoshard.icn.consumer import Consumer
 from geoshard.icn.fabric import Fabric
-from geoshard.icn.faces import TcpFaceServer, TokenBucket
+from geoshard.icn.faces import TcpFaceServer
 from geoshard.icn.names import Name
 from geoshard.icn.producer import Producer
 from geoshard.naming import BF_PREFIX, CERT_ROOT, SYSTEM_DID, route_prefix
@@ -71,8 +69,6 @@ class ClusterSpec:
     bf_fp_rate: float = 0.01
     qdata_freshness_ms: int = 0
     engine_cs_capacity: int = 0
-    rate_limit_bps: float | None = None
-    cost: CostModel | None = None
     bulk_tcp: bool = False
     fe_lifetime_ms: int = 2000
     fe_retries: int = 2
@@ -194,7 +190,6 @@ class Cluster:
             tiles=tuple(tiles),
             qdata_freshness_ms=spec.qdata_freshness_ms,
             bf_params=self._mh if spec.bf_enabled else None,
-            cost=spec.cost,
         )
         engine = DatabaseEngine(cfg, self.engine_ids[node], validator, clock=self.clock)
         prod_face, prod_fid = self.fabric.attach(fwd, f"engine-{node}")
@@ -221,8 +216,7 @@ class Cluster:
 
     def _build_frontend(self, fe_name: str, validator: Validator) -> Frontend:
         spec = self.spec
-        limiter = TokenBucket(spec.rate_limit_bps) if spec.rate_limit_bps else None
-        face, _ = self.fabric.attach(self.router, fe_name, limit_to_endpoint=limiter)
+        face, _ = self.fabric.attach(self.router, fe_name)
         consumer = Consumer(face, fe_name)
         bf_client = None
         if spec.bf_enabled:
@@ -260,8 +254,7 @@ class Cluster:
         """A front-end bound to a specific user's credentials."""
         base = self.frontend(fe_name)
         user = self.user_ids[(tid, cid, uid)]
-        limiter = TokenBucket(self.spec.rate_limit_bps) if self.spec.rate_limit_bps else None
-        face, _ = self.fabric.attach(self.router, f"fe-{uid}", limit_to_endpoint=limiter)
+        face, _ = self.fabric.attach(self.router, f"fe-{uid}")
         return Frontend(
             Consumer(face, f"fe-{uid}"),
             user,
@@ -277,11 +270,13 @@ class Cluster:
         return self.engines[node].engine
 
     def close(self) -> None:
+        """Run every closer; one that fails is logged and the rest still run."""
         for closer in self._closers:
             try:
                 closer()
             except Exception:
-                pass
+                name = getattr(closer, "__qualname__", repr(closer))
+                log.warning("cluster close: %s failed", name, exc_info=True)
 
 
 def _publish_quietly(client: BloomClient, node: str, direction: int, buckets: list[int]) -> None:
@@ -303,9 +298,8 @@ def parse_cluster_config(path: str) -> ClusterSpec:
     """INI schema:
 
     [cluster]         scheme=ed25519|hmac, bf_enabled, bf_capacity, bf_fp_rate,
-                      qdata_freshness_ms, engine_cs_capacity, rate_limit_mbps,
+                      qdata_freshness_ms, engine_cs_capacity,
                       bulk_tcp, face_port, service_port, frontends=fe1,fe2
-    [cost]            enabled, c1_ms, c2_ms, c3_ms, p_db
     [engine.<id>]     tiles=12/41, 13/41
     [tenant.<tid>]    collections=poi,bus
     [user.<uid>]      tid=..., cid=..., permission=rw|r
@@ -343,18 +337,9 @@ def parse_cluster_config(path: str) -> ClusterSpec:
                 routes.append((Name.parse(prefix), node))
     if not engines:
         raise ValueError(f"{path}: no [engine.*] sections")
-    cost = None
-    if "cost" in cp and cp["cost"].getboolean("enabled", fallback=False):
-        cost = CostModel(
-            c1_ms=cp["cost"].getfloat("c1_ms", 3.0),
-            c2_ms=cp["cost"].getfloat("c2_ms", 0.008),
-            c3_ms=cp["cost"].getfloat("c3_ms", 20.0),
-            p_db=cp["cost"].getfloat("p_db", 0.85),
-        )
     scheme = {"ed25519": SCHEME_ED25519, "hmac": SCHEME_HMAC}[
         str(cl.get("scheme", "ed25519")).lower()
     ]
-    rate_mbps = float(cl.get("rate_limit_mbps", 0) or 0)
     face_port = cl.get("face_port")
     service_port = cl.get("service_port")
     return ClusterSpec(
@@ -368,8 +353,6 @@ def parse_cluster_config(path: str) -> ClusterSpec:
         bf_fp_rate=float(cl.get("bf_fp_rate", 0.01)),
         qdata_freshness_ms=int(cl.get("qdata_freshness_ms", 0)),
         engine_cs_capacity=int(cl.get("engine_cs_capacity", 0)),
-        rate_limit_bps=rate_mbps * 1e6 if rate_mbps else None,
-        cost=cost,
         bulk_tcp=str(cl.get("bulk_tcp", "false")).lower() in ("1", "true", "yes"),
         face_port=int(face_port) if face_port else None,
         service_port=int(service_port) if service_port else None,

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import logging
 import socket
-import struct
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from geoshard.bloom import CountingBloomFilter, bf_key
 from geoshard.geogrid import LEVELS, TileId, level0
 from geoshard.icn.clock import system_clock
+from geoshard.icn.faces import FrameTooLarge, frame, read_frame
 from geoshard.icn.names import Name
 from geoshard.icn.packets import (
     DataPacket,
@@ -81,23 +80,6 @@ QDATA_CAPACITY = 512
 
 
 @dataclass
-class CostModel:
-    """Per-query processing cost injected when emulating loaded hardware."""
-
-    c1_ms: float = 3.0
-    c2_ms: float = 0.008
-    c3_ms: float = 20.0
-    p_db: float = 0.85
-
-    @property
-    def p_qh(self) -> float:
-        return 1.0 - self.p_db
-
-    def query_ms(self, n_items: int) -> float:
-        return self.c1_ms + self.c2_ms * n_items
-
-
-@dataclass
 class EngineConfig:
     node_id: str
     tiles: tuple[TileId, ...]  # owned level-0 tiles
@@ -105,8 +87,6 @@ class EngineConfig:
     ipres_freshness_ms: int = 60_000
     bulk_endpoint: str = ""  # "host:port" or "inproc:<node>"; filled on start
     bf_params: tuple[int, int] | None = None  # (m, h), shared cluster-wide
-    cost: CostModel | None = None
-    qdata_cache_enabled: bool = True
     max_payload: int = 8192
 
     def __post_init__(self):
@@ -146,7 +126,6 @@ class DatabaseEngine:
         self.stats = EngineStats()
         self._sign = data_signer(identity)
         self._state = threading.RLock()
-        self._proc = threading.Lock()  # serializes injected processing cost
         self.objects: dict[Name, StoredObject] = {}
         # one name table per grid level: tile prefix -> object names
         self.tile_tables: list[dict[Name, set[Name]]] = [dict() for _ in LEVELS]
@@ -189,15 +168,25 @@ class DatabaseEngine:
             return None
         return None
 
-    # --- tile queries --------------------------------------------------------
+    # --- access control ------------------------------------------------------
 
-    def _inject_query_cost(self, n_items: int) -> None:
-        cost = self.config.cost
-        if cost is None:
-            return
-        delay = cost.query_ms(n_items) * cost.p_db / 1000.0
-        with self._proc:  # one query at a time, like a single local DBMS
-            time.sleep(delay)
+    def _authorize(
+        self, pkt: InterestPacket | DataPacket, op: AccessOp, targets: Iterable[Name], tid: str
+    ) -> None:
+        """Raise ValidationError unless `pkt` verifies and its signer, certified
+        under tenant `tid`, may perform `op` on every target name."""
+        if isinstance(pkt, DataPacket):
+            cert = self.validator.verify_data(pkt)
+        else:
+            cert = self.validator.verify_interest(pkt)
+        for target in targets:
+            decision = check_access(op, target, cert.kl_name)
+            if not decision.allow:
+                raise ValidationError(decision.reason)
+        if self.validator.chain_tenant(cert) != tid:
+            raise ValidationError(f"issuer not certified by tenant {tid}")
+
+    # --- tile queries --------------------------------------------------------
 
     def handle_tile_query(self, base: Name, interest: InterestPacket):
         self.stats.tile_queries += 1
@@ -205,27 +194,16 @@ class DatabaseEngine:
         if not self.owns(info.tile):
             return None
         try:
-            cert = self.validator.verify_interest(interest)
-            decision = check_access(AccessOp.QUERY, base, cert.kl_name)
-            if not decision.allow:
-                raise ValidationError(decision.reason)
-            if self.validator.chain_tenant(cert) != info.tid:
-                raise ValidationError(f"issuer not certified by tenant {info.tid}")
+            self._authorize(interest, AccessOp.QUERY, (base,), info.tid)
         except ValidationError as exc:
             self.stats.denied_queries += 1
             log.debug("%s: query denied for %s: %s", self.config.node_id, base, exc)
             return None  # dropped; the consumer sees a timeout
-        if self.config.cost is not None:
-            with self._state:
-                group = self._groups.get((route_prefix(info.tile), info.tid, info.cid), ())
-                n_items = len(group)
-            self._inject_query_cost(n_items)
         with self._state:
-            if self.config.qdata_cache_enabled:
-                cached = self._qdata.get(base)
-                if cached is not None:
-                    self.stats.qdata_hits += 1
-                    return cached[1]
+            cached = self._qdata.get(base)
+            if cached is not None:
+                self.stats.qdata_hits += 1
+                return cached[1]
             rows = self._select(info.tile, info.tid, info.cid, info.period)
             payload = encode_packet_stream(r.packet for r in rows)
             segments = segment(
@@ -235,8 +213,7 @@ class DatabaseEngine:
                 freshness_ms=self.config.qdata_freshness_ms,
                 sign=self._sign,
             )
-            if self.config.qdata_cache_enabled:
-                self._cache_reply(base, route_prefix(info.tile), segments)
+            self._cache_reply(base, route_prefix(info.tile), segments)
             return segments
 
     def _cache_reply(self, qname: Name, prefix: Name, segments: list[DataPacket]) -> None:
@@ -297,16 +274,11 @@ class DatabaseEngine:
         if info.tile not in self.config.tiles:
             return None
         try:
-            cert = self.validator.verify_interest(interest)
             for name in info.names:
                 obj = parse_object_name(name)
                 if (obj.tid, obj.cid) != (info.tid, info.cid) or not self.owns(obj.tile):
                     raise ValidationError(f"{name} is outside batch {base}")
-                decision = check_access(AccessOp.QUERY, name, cert.kl_name)
-                if not decision.allow:
-                    raise ValidationError(decision.reason)
-            if self.validator.chain_tenant(cert) != info.tid:
-                raise ValidationError(f"issuer not certified by tenant {info.tid}")
+            self._authorize(interest, AccessOp.QUERY, info.names, info.tid)
         except (ValidationError, NameSchemeError) as exc:
             self.stats.denied_queries += 1
             log.debug("%s: object fetch denied for %s: %s", self.config.node_id, base, exc)
@@ -342,12 +314,7 @@ class DatabaseEngine:
         if not self.owns(row.tile):
             return STATUS_WRONG_SHARD
         try:
-            cert = self.validator.verify_data(pkt)
-            decision = check_access(AccessOp.INSERT, pkt.name, cert.kl_name)
-            if not decision.allow:
-                raise ValidationError(decision.reason)
-            if self.validator.chain_tenant(cert) != row.tid:
-                raise ValidationError(f"issuer not certified by tenant {row.tid}")
+            self._authorize(pkt, AccessOp.INSERT, (pkt.name,), row.tid)
         except ValidationError as exc:
             self.stats.denied_inserts += 1
             log.debug("%s: insert denied for %s: %s", self.config.node_id, pkt.name, exc)
@@ -371,12 +338,7 @@ class DatabaseEngine:
         if not self.owns(info.tile):
             return None
         try:
-            cert = self.validator.verify_interest(interest)
-            decision = check_access(AccessOp.DELETE, base, cert.kl_name)
-            if not decision.allow:
-                raise ValidationError(decision.reason)
-            if self.validator.chain_tenant(cert) != info.tid:
-                raise ValidationError(f"issuer not certified by tenant {info.tid}")
+            self._authorize(interest, AccessOp.DELETE, (base,), info.tid)
         except ValidationError as exc:
             self.stats.denied_deletes += 1
             log.debug("%s: delete denied for %s: %s", self.config.node_id, base, exc)
@@ -418,10 +380,6 @@ class DatabaseEngine:
 
     # --- introspection -----------------------------------------------------------
 
-    def group_count(self, tile: TileId, tid: str, cid: str) -> int:
-        with self._state:
-            return len(self._groups.get((route_prefix(tile), tid, cid), ()))
-
     def non_void_groups(self) -> set[tuple[str, str, str]]:
         with self._state:
             return {(str(p), t, c) for (p, t, c), names in self._groups.items() if names}
@@ -429,22 +387,11 @@ class DatabaseEngine:
 
 # --- bulk-insert TCP endpoint ---------------------------------------------------
 #
-# Wire protocol: the client streams length-prefixed encoded Data packets
-# (u32 big-endian length, zero length ends the batch); the server replies
-# with u32 count followed by one status byte per object, then waits for the
-# next batch on the same connection.
-
-_U32 = struct.Struct("!I")
-
-
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
+# Wire protocol, in the frames of `icn.faces`: the client sends one frame
+# per encoded Data packet and an empty frame to end the batch; the server
+# replies with one frame holding one status byte per object, then waits for
+# the next batch on the same connection. A frame above MAX_FRAME closes the
+# connection.
 
 
 class BulkInsertServer:
@@ -472,15 +419,15 @@ class BulkInsertServer:
             while True:
                 batch: list[DataPacket] = []
                 while True:
-                    hdr = _read_exact(sock, 4)
-                    if hdr is None:
+                    try:
+                        raw = read_frame(sock)
+                    except FrameTooLarge as exc:
+                        log.warning("%s: bulk stream %s, closing", self.engine.config.node_id, exc)
                         return
-                    (length,) = _U32.unpack(hdr)
-                    if length == 0:
-                        break
-                    raw = _read_exact(sock, length)
                     if raw is None:
                         return
+                    if not raw:
+                        break
                     try:
                         pkt = decode_packet(raw)
                     except ValueError:
@@ -492,7 +439,7 @@ class BulkInsertServer:
                 for p in batch:
                     statuses.append(next(results) if isinstance(p, DataPacket) else STATUS_MALFORMED)
                 try:
-                    sock.sendall(_U32.pack(len(statuses)) + bytes(statuses))
+                    sock.sendall(frame(bytes(statuses)))
                 except OSError:
                     return
 
@@ -512,18 +459,8 @@ class BulkInsertClient:
         self._sock = socket.create_connection((host, int(port)), timeout=30)
 
     def insert(self, packets: list[DataPacket]) -> list[int]:
-        chunks = []
-        for pkt in packets:
-            raw = encode_packet(pkt)
-            chunks.append(_U32.pack(len(raw)))
-            chunks.append(raw)
-        chunks.append(_U32.pack(0))
-        self._sock.sendall(b"".join(chunks))
-        hdr = _read_exact(self._sock, 4)
-        if hdr is None:
-            raise ConnectionError("bulk endpoint closed mid-reply")
-        (count,) = _U32.unpack(hdr)
-        body = _read_exact(self._sock, count)
+        self._sock.sendall(b"".join(frame(encode_packet(p)) for p in packets) + frame(b""))
+        body = read_frame(self._sock)
         if body is None:
             raise ConnectionError("bulk endpoint closed mid-reply")
         return list(body)

@@ -28,7 +28,7 @@ import socket
 import socketserver
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from geoshard.geogrid import (
@@ -73,6 +73,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_K = 50
 DEFAULT_PARALLELISM = 8
+ODATA_FRESHNESS_MS = 3_600_000  # freshness of the object packets an insert signs
 
 
 class RangeQueryError(Exception):
@@ -203,8 +204,6 @@ class Frontend:
         clock: Callable[[], float] = system_clock,
         lifetime_ms: int = 2000,
         retries: int = 2,
-        odata_freshness_ms: int = 3_600_000,
-        validate_transport: bool = True,
     ):
         self.consumer = consumer
         self.user = user
@@ -214,18 +213,13 @@ class Frontend:
         self.clock = clock
         self.lifetime_ms = lifetime_ms
         self.retries = retries
-        self.odata_freshness_ms = odata_freshness_ms
         self._sign_interest = interest_signer(user)
         self._sign_data = data_signer(user)
-        self._validate = self._transport_validator if validate_transport else None
         self._ipres_cache: dict[Name, tuple[str, float]] = {}
         self._transports: dict[str, BulkTransport] = {}
         self._lock = threading.Lock()
 
     # --- validation helpers --------------------------------------------------
-
-    def _transport_validator(self, pkt: DataPacket) -> None:
-        self.validator.verify_data(pkt)
 
     def _check_provenance(self, pkt: DataPacket) -> None:
         """The object must be signed by the owner its name claims."""
@@ -239,12 +233,14 @@ class Frontend:
 
     # --- range query ----------------------------------------------------------
 
-    def prefilter(self, tiles: Iterable[TileId], tid: str, cid: str) -> set[TileId]:
+    def prefilter(
+        self, tiles: Iterable[TileId], tid: str, cid: str, stats: QueryStats | None = None
+    ) -> set[TileId]:
         """Keep tiles the Bloom server considers possibly non-void.
 
         No false negatives relative to engine ground truth; on any Bloom
         service failure the input set is returned unchanged (availability
-        over optimization).
+        over optimization) and ``stats.bf_fallback`` is set.
         """
         tiles = list(tiles)
         if self.bf_client is None:
@@ -255,6 +251,8 @@ class Frontend:
             return {t for t, bit in zip(tiles, bits) if bit}
         except Exception as exc:
             log.warning("bloom pre-filter unavailable, querying all tiles: %s", exc)
+            if stats is not None:
+                stats.bf_fallback = True
             return set(tiles)
 
     def spatio_temporal_subqueries(
@@ -268,12 +266,6 @@ class Frontend:
             for period in plist
         ]
 
-    def decompose_complex_query(self, q: RangeQuery) -> list[Name]:
-        """Sub-query names for a range query: tessellation x periods."""
-        tess = constrained_tessellation(q.bbox, q.k)
-        periods = temporal_decompose(q.interval) if q.interval else None
-        return self.spatio_temporal_subqueries(tess.tiles, periods, q.tid, q.cid)
-
     def range_query(self, q: RangeQuery) -> QueryResult:
         stats = QueryStats()
         t0 = self.clock()
@@ -283,19 +275,9 @@ class Frontend:
         stats.tessellation_ms = (t1 - t0) * 1000
         stats.tiles_before = len(tess.tiles)
 
-        tiles: Iterable[TileId] = tess.tiles
-        if q.use_bf and self.bf_client is not None:
-            try:
-                items = [(str(route_prefix(t)), q.tid, q.cid) for t in tess.tiles]
-                bits = self.bf_client.membership(items)
-                tiles = [t for t, bit in zip(tess.tiles, bits) if bit]
-            except Exception as exc:
-                log.warning("bloom pre-filter unavailable, querying all tiles: %s", exc)
-                stats.bf_fallback = True
-                tiles = tess.tiles
+        tiles = self.prefilter(tess.tiles, q.tid, q.cid, stats) if q.use_bf else tess.tiles
         t2 = self.clock()
         stats.bf_ms = (t2 - t1) * 1000
-        tiles = list(tiles)
         stats.tiles_after = len(tiles)
 
         names = self.spatio_temporal_subqueries(tiles, periods, q.tid, q.cid)
@@ -321,7 +303,7 @@ class Frontend:
                     retries=self.retries,
                     sign=self._sign_interest,
                     app_params=params,
-                    validate=self._validate,
+                    validate=self.validator.verify_data,
                 )
             except GetTimeoutError:
                 raise RangeQueryError(name, "timeout") from None
@@ -424,7 +406,7 @@ class Frontend:
                 return cached[0]
         pkt = self.consumer.get_packet(
             ip_res_name(tile_l0), lifetime_ms=self.lifetime_ms, retries=self.retries,
-            validate=self._validate,
+            validate=self.validator.verify_data,
         )
         endpoint = pkt.payload.decode()
         with self._lock:
@@ -443,7 +425,7 @@ class Frontend:
         """Package a feature (master + references), resolve the responsible
         engines, and push over the bulk stream."""
         feature = source if isinstance(source, Feature) else parse_feature(source)
-        packets = build_object_packets(feature, self._sign_data, self.odata_freshness_ms)
+        packets = build_object_packets(feature, self._sign_data, ODATA_FRESHNESS_MS)
         by_endpoint: dict[str, list] = {}
         for tile, pkt in packets:
             l0 = level0(tile)
@@ -478,7 +460,7 @@ class Frontend:
                     lifetime_ms=self.lifetime_ms,
                     retries=self.retries,
                     sign=self._sign_interest,
-                    validate=self._validate,
+                    validate=self.validator.verify_data,
                 )
                 per_tile.append((oname, raw.decode()))
             except GetTimeoutError:
@@ -525,16 +507,6 @@ class BulkTransport:
 
     def insert(self, packets) -> list[int]:  # pragma: no cover - interface
         raise NotImplementedError
-
-
-# --- generic OR-condition decomposition (address-book style demo) -------------
-
-
-def split_or_conditions(
-    did: str, field_name: str, values: Iterable[str], shard_of: Callable[[str], str]
-) -> list[Name]:
-    """One sub-query name per OR term: /<sid>/<did>/<field>=<value>."""
-    return [Name((shard_of(v), did, f"{field_name}={v}")) for v in values]
 
 
 # --- request/response service endpoint ----------------------------------------

@@ -2,15 +2,17 @@
 
 Hierarchical names, Interest/Data packets with a length-prefixed binary TLV
 encoding, forwarders (FIB longest-prefix match, PIT aggregation/multicast,
-freshness-bounded content store), in-process and TCP faces, and blocking
-consumer/producer endpoints with content segmentation.
+freshness-bounded content store), in-process faces with optional loss
+hooks, TCP faces over u32 length-framed streams, and blocking
+consumer/producer endpoints with content segmentation. Routes are added
+with :meth:`Forwarder.advertise`.
 """
 
 from geoshard.icn.clock import ManualClock, system_clock
 from geoshard.icn.consumer import Consumer, GetTimeoutError
 from geoshard.icn.fabric import Fabric
-from geoshard.icn.faces import Face, TcpFace, TcpFaceServer, TokenBucket, face_pair, tcp_connect
-from geoshard.icn.forwarder import Forwarder, ForwarderStats, load_static_routes, longest_prefix_match
+from geoshard.icn.faces import Face, TcpFace, TcpFaceServer, face_pair, tcp_connect
+from geoshard.icn.forwarder import Forwarder, ForwarderStats, longest_prefix_match
 from geoshard.icn.names import Name
 from geoshard.icn.packets import (
     DataPacket,
@@ -40,12 +42,10 @@ __all__ = [
     "ProducerReply",
     "TcpFace",
     "TcpFaceServer",
-    "TokenBucket",
     "WireFormatError",
     "decode_packet",
     "encode_packet",
     "face_pair",
-    "load_static_routes",
     "longest_prefix_match",
     "reassemble",
     "segment",

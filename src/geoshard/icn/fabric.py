@@ -5,9 +5,8 @@ from __future__ import annotations
 from typing import Callable
 
 from geoshard.icn.clock import system_clock
-from geoshard.icn.faces import Face, TokenBucket, face_pair
+from geoshard.icn.faces import Face, face_pair
 from geoshard.icn.forwarder import Forwarder
-from geoshard.icn.names import Name
 from geoshard.icn.packets import Packet
 
 
@@ -29,17 +28,9 @@ class Fabric:
         b: Forwarder,
         loss_to_a: Callable[[Packet], bool] | None = None,
         loss_to_b: Callable[[Packet], bool] | None = None,
-        limit_to_a: TokenBucket | None = None,
-        limit_to_b: TokenBucket | None = None,
     ) -> tuple[int, int]:
         """Connect two forwarders; returns (face id on a, face id on b)."""
-        fa, fb = face_pair(
-            f"{a.label}<->{b.label}",
-            loss_to_a=loss_to_a,
-            loss_to_b=loss_to_b,
-            limit_to_a=limit_to_a,
-            limit_to_b=limit_to_b,
-        )
+        fa, fb = face_pair(f"{a.label}<->{b.label}", loss_to_a=loss_to_a, loss_to_b=loss_to_b)
         return a.add_face(fa), b.add_face(fb)
 
     def attach(
@@ -47,18 +38,13 @@ class Fabric:
         fwd: Forwarder,
         label: str,
         loss_to_endpoint: Callable[[Packet], bool] | None = None,
-        limit_to_endpoint: TokenBucket | None = None,
         loss_to_forwarder: Callable[[Packet], bool] | None = None,
     ) -> tuple[Face, int]:
         """Attach an endpoint; returns (endpoint-side face, face id on fwd)."""
         fwd_side, ep_side = face_pair(
             f"{fwd.label}<->{label}",
             loss_to_b=loss_to_endpoint,
-            limit_to_b=limit_to_endpoint,
             loss_to_a=loss_to_forwarder,
         )
         fid = fwd.add_face(fwd_side)
         return ep_side, fid
-
-    def advertise(self, fwd: Forwarder, prefix: Name, face_id: int) -> None:
-        fwd.advertise(prefix, face_id)

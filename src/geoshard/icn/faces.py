@@ -1,9 +1,13 @@
 """Faces: channels attaching nodes to each other.
 
-Two transports: in-process pairs (synchronous by default, optionally queued
-for hand-pumped deterministic tests) and TCP with u32 big-endian length
-framing for multi-process runs. A face delivers packets to whoever set its
-``on_receive`` callback (a forwarder, consumer or producer).
+Two transports: synchronous in-process pairs, and TCP for multi-process
+runs. A face delivers packets to whoever set its ``on_receive`` callback (a
+forwarder, consumer or producer).
+
+Every stream socket in the package (TCP faces and the engines' bulk-insert
+stream) carries frames of a u32 big-endian length followed by that many
+bytes: :func:`frame` writes one and :func:`read_frame` reads one, refusing
+lengths above :data:`MAX_FRAME`.
 """
 
 from __future__ import annotations
@@ -12,33 +16,11 @@ import logging
 import socket
 import struct
 import threading
-import time
-from collections import deque
 from typing import Callable, Optional
 
-from geoshard.icn.packets import DataPacket, Packet, decode_packet, encode_packet
+from geoshard.icn.packets import Packet, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
-
-
-class TokenBucket:
-    """Serializes transmissions at a fixed bit rate (virtual-time bucket)."""
-
-    def __init__(self, rate_bps: float):
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
-        self.rate_bps = rate_bps
-        self._lock = threading.Lock()
-        self._vtime = 0.0
-
-    def acquire(self, nbits: int) -> None:
-        with self._lock:
-            now = time.monotonic()
-            start = max(now, self._vtime)
-            self._vtime = start + nbits / self.rate_bps
-            wait = self._vtime - now
-        if wait > 0:
-            time.sleep(wait)
 
 
 class Face:
@@ -49,9 +31,6 @@ class Face:
         self.on_receive: Optional[Callable[[Packet], None]] = None
         self.peer: Optional["Face"] = None
         self.loss: Optional[Callable[[Packet], bool]] = None
-        self.limiter: Optional[TokenBucket] = None
-        self.queued = False
-        self._queue: deque[Packet] = deque()
         self.sent = 0
         self.received = 0
 
@@ -63,23 +42,9 @@ class Face:
     def _deliver(self, pkt: Packet) -> None:
         if self.loss is not None and self.loss(pkt):
             return
-        if self.limiter is not None and isinstance(pkt, DataPacket):
-            self.limiter.acquire(8 * len(pkt.payload))
         self.received += 1
-        if self.queued:
-            self._queue.append(pkt)
-        elif self.on_receive is not None:
+        if self.on_receive is not None:
             self.on_receive(pkt)
-
-    def pump(self, limit: int | None = None) -> int:
-        """Dispatch queued packets; returns how many were delivered."""
-        n = 0
-        while self._queue and (limit is None or n < limit):
-            pkt = self._queue.popleft()
-            if self.on_receive is not None:
-                self.on_receive(pkt)
-            n += 1
-        return n
 
     def close(self) -> None:
         self.peer = None
@@ -90,36 +55,57 @@ class Face:
 
 def face_pair(
     label: str = "",
-    queued_a: bool = False,
-    queued_b: bool = False,
     loss_to_a: Callable[[Packet], bool] | None = None,
     loss_to_b: Callable[[Packet], bool] | None = None,
-    limit_to_a: TokenBucket | None = None,
-    limit_to_b: TokenBucket | None = None,
 ) -> tuple[Face, Face]:
     """A connected in-process face pair (a <-> b)."""
     a, b = Face(label + ":a"), Face(label + ":b")
     a.peer, b.peer = b, a
-    a.queued, b.queued = queued_a, queued_b
     a.loss, b.loss = loss_to_a, loss_to_b
-    a.limiter, b.limiter = limit_to_a, limit_to_b
     return a, b
 
 
-# --- TCP transport ----------------------------------------------------------
+# --- length-framed streams ---------------------------------------------------
 
 _HDR = struct.Struct("!I")
 MAX_FRAME = 32 * 1024 * 1024
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+class FrameTooLarge(ConnectionError):
+    """The peer announced a frame longer than MAX_FRAME."""
+
+
+def frame(data: bytes) -> bytes:
+    return _HDR.pack(len(data)) + data
+
+
+def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
             return None
-        buf += chunk
-    return buf
+        got += k
+    return bytes(buf)
+
+
+def read_frame(sock: socket.socket) -> bytes | None:
+    """The body of the next frame; None when the peer closed the stream.
+
+    Raises FrameTooLarge before allocating for a length above MAX_FRAME.
+    """
+    hdr = _recv_exact(sock, _HDR.size)
+    if hdr is None:
+        return None
+    (length,) = _HDR.unpack(hdr)
+    if length > MAX_FRAME:
+        raise FrameTooLarge(f"frame of {length} bytes exceeds {MAX_FRAME}")
+    return _recv_exact(sock, length)
+
+
+# --- TCP transport ----------------------------------------------------------
 
 
 class TcpFace(Face):
@@ -137,7 +123,7 @@ class TcpFace(Face):
         raw = encode_packet(pkt)
         try:
             with self._send_lock:
-                self._sock.sendall(_HDR.pack(len(raw)) + raw)
+                self._sock.sendall(frame(raw))
             self.sent += 1
         except OSError:
             self.close()
@@ -145,17 +131,13 @@ class TcpFace(Face):
     def _read_loop(self) -> None:
         while not self._closed:
             try:
-                hdr = _read_exact(self._sock, _HDR.size)
-                if hdr is None:
-                    break
-                (length,) = _HDR.unpack(hdr)
-                if length > MAX_FRAME:
-                    log.warning("%s: oversized frame (%d bytes), closing", self.label, length)
-                    break
-                raw = _read_exact(self._sock, length)
-                if raw is None:
-                    break
+                raw = read_frame(self._sock)
+            except FrameTooLarge as exc:
+                log.warning("%s: %s, closing", self.label, exc)
+                break
             except OSError:
+                break
+            if raw is None:
                 break
             try:
                 pkt = decode_packet(raw)

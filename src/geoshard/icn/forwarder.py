@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from geoshard.icn.clock import system_clock
 from geoshard.icn.faces import Face
@@ -93,10 +93,6 @@ class Forwarder:
                 if not faces:
                     del self.fib[prefix]
 
-    def lpm(self, name: Name) -> set[int]:
-        with self._lock:
-            return longest_prefix_match(self.fib, name)
-
     # --- packet handling -------------------------------------------------
 
     def handle(self, face_id: int, pkt: Packet) -> None:
@@ -176,24 +172,3 @@ class Forwarder:
             targets = sorted(entry.downstream - {face_id})
             self.stats.downstream_data += len(targets)
             return [(fid, pkt) for fid in targets]
-
-    # --- maintenance ------------------------------------------------------
-
-    def cs_insert(self, pkt: DataPacket) -> None:
-        """Direct content-store insertion (cache pre-warming)."""
-        with self._lock:
-            self.cs[pkt.name] = (pkt, self.clock())
-            while len(self.cs) > max(self.cs_capacity, 1):
-                self.cs.popitem(last=False)
-
-    def cs_clear(self) -> None:
-        with self._lock:
-            self.cs.clear()
-
-
-def load_static_routes(
-    forwarder: Forwarder, routes: Iterable[tuple[Name, int]]
-) -> None:
-    """Install (prefix, face) routes from a static table."""
-    for prefix, face_id in routes:
-        forwarder.advertise(prefix, face_id)

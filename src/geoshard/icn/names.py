@@ -48,9 +48,6 @@ class Name:
         n = len(self._components)
         return other._components[:n] == self._components
 
-    def starts_with(self, prefix: "Name") -> bool:
-        return prefix.is_prefix_of(self)
-
     def prefix(self, n: int) -> "Name":
         return Name(self._components[:n])
 

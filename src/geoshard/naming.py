@@ -9,8 +9,8 @@
   delete    <object name>/DELETE
   key loc.  ndn:/CERT/<did>/<uid>/<permission>
 
-The generic (non-geographic) scheme used by the address-book style demo is
-  object    /<sid>/<did>/<uid>/<suffix>      query  /<sid>/<did>/<condition>
+These are the only schemes; a name that fits none of them is refused with
+:class:`NameSchemeError`.
 """
 
 from __future__ import annotations
@@ -203,37 +203,3 @@ def parse_delete_name(name: Name) -> ObjectNameInfo:
     if not len(name) or name[-1] != DELETE_MARK:
         raise NameSchemeError(f"not a delete command: {name}")
     return parse_object_name(name[:-1])
-
-
-def is_ogb_name(name: Name) -> bool:
-    return len(name) > 0 and name[0] == ROOT_COMPONENT
-
-
-# --- generic (non-geographic) scheme ----------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class GenericNameInfo:
-    sid: str
-    did: str
-    uid: str | None  # None for query names
-
-
-def parse_generic_object_name(name: Name) -> GenericNameInfo:
-    c = name.components
-    if len(c) != 4:
-        raise NameSchemeError(f"generic object names have 4 components: {name}")
-    return GenericNameInfo(c[0], c[1], c[2])
-
-
-def parse_generic_query_name(name: Name) -> GenericNameInfo:
-    c = name.components
-    if len(c) != 3:
-        raise NameSchemeError(f"generic query names have 3 components: {name}")
-    return GenericNameInfo(c[0], c[1], None)
-
-
-def parse_generic_delete_name(name: Name) -> GenericNameInfo:
-    if not len(name) or name[-1] != DELETE_MARK:
-        raise NameSchemeError(f"not a delete command: {name}")
-    return parse_generic_object_name(name[:-1])

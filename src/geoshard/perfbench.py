@@ -1,16 +1,17 @@
-"""Analytical batch model, constant fitting, workload generators, runners.
+"""The paper's analytic batch model, constant fitting, workload generators,
+and an open-loop load runner with a stability search.
 
 The per-query processing model is ``TQp = C1 + C2 * Ni``; a batch of Nq
 tile-queries spread over Ndb engines with cache-hit probability H lasts
 
     TB = C3 + Nq * ((1-H) * Pdb/Ndb + Pqh) * TQp + Nq * Ni * Ds / Bw
 
-The in-process batch runner realizes that structure in two phases: a fetch
-phase (per-engine sequential streams; the engine sleeps its injected share
-of TQp per miss, responses pass the shared token-bucket link) and a serial
-decode/verify phase that pays the query-handler share. Desk-scale absolute
-milliseconds are not meaningful; the fitted constants and the model shape
-are.
+This is the paper's model, kept as an analytic reference: `fit_constants`
+recovers its constants from measurements that follow it, and nothing in
+the package fits it to measured runs of the engines. It does not describe
+them: a least-squares fit of TQp = C1 + C2 * Ni over 3,169 tile queries
+that missed the engine cache in the benchmark's ``transit_query`` workload
+gave r^2 = 0.001.
 """
 
 from __future__ import annotations
@@ -20,16 +21,11 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from geoshard.cluster import Cluster
-from geoshard.engine import CostModel
-from geoshard.frontend import Frontend
 from geoshard.geogrid import BBox, TileId
-from geoshard.icn.packets import DataPacket, decode_packet_stream
-from geoshard.naming import tile_query_name
 
 KM_PER_DEGREE = 100.0  # benchmark axis labeling only
 
@@ -103,15 +99,6 @@ class FittedModel:
     @property
     def p_qh(self) -> float:
         return 1.0 - self.p_db
-
-    def params(self, m: Measurement) -> ModelParams:
-        return ModelParams(
-            self.c1_ms, self.c2_ms, self.c3_ms, self.p_db, self.p_qh,
-            m.d_s_bytes, m.b_w_bps, m.h, m.n_db, m.n_q, m.n_i,
-        )
-
-    def predict(self, m: Measurement) -> float:
-        return model_tb(self.params(m))
 
 
 def fit_constants(measurements: Sequence[Measurement]) -> FittedModel:
@@ -278,126 +265,6 @@ def poisson_arrivals(rate_hz: float, count: int, seed: int = 0) -> list[float]:
     return out
 
 
-# --- batch runner -------------------------------------------------------------------
-
-
-@dataclass
-class BatchResult:
-    n_q: int
-    n_db: int
-    h: float
-    n_i_mean: float
-    d_s_mean: float
-    wall_ms: float
-    fetch_ms: float
-    process_ms: float
-    items: int
-
-    def to_measurement(self, b_w_bps: float) -> Measurement:
-        return Measurement(
-            self.n_q, self.n_i_mean, self.n_db, self.h, self.d_s_mean, b_w_bps, self.wall_ms
-        )
-
-
-def _owning_engine(cluster: Cluster, tile: TileId) -> str:
-    l0 = tile
-    while l0.level > 0:
-        l0 = TileId(l0.level - 1, l0.lng_idx // 10, l0.lat_idx // 10)
-    for node, tiles in cluster.spec.engines.items():
-        if l0 in tiles:
-            return node
-    raise ValueError(f"no engine owns {tile}")
-
-
-def run_tile_batch(
-    cluster: Cluster,
-    frontend: Frontend,
-    tiles: Sequence[TileId],
-    tid: str,
-    cid: str,
-    *,
-    warm_fraction: float = 0.0,
-    c3_ms: float | None = None,
-    verify: bool = True,
-) -> BatchResult:
-    """Fetch-then-process tile-query batch against the running cluster.
-
-    Warm phase: the first `warm_fraction` of the batch names is queried once
-    so the engine-side content stores hold them (requires a non-zero query
-    freshness in the cluster spec). Timed phase: per-engine sequential fetch
-    streams, then one serial decode/verify pass over all responses.
-    """
-    cost = cluster.spec.cost
-    names = [tile_query_name(t, tid, cid) for t in tiles]
-    by_engine: dict[str, list] = {}
-    for tile, name in zip(tiles, names):
-        by_engine.setdefault(_owning_engine(cluster, tile), []).append(name)
-
-    sign = frontend._sign_interest
-    consumer = frontend.consumer
-
-    def fetch_stream(engine_names: list) -> list[bytes]:
-        return [
-            consumer.get(n, lifetime_ms=frontend.lifetime_ms, retries=frontend.retries, sign=sign)
-            for n in engine_names
-        ]
-
-    n_warm = int(round(warm_fraction * len(names)))
-    if n_warm:
-        warm_by_engine: dict[str, list] = {}
-        for tile, name in zip(tiles[:n_warm], names[:n_warm]):
-            warm_by_engine.setdefault(_owning_engine(cluster, tile), []).append(name)
-        with ThreadPoolExecutor(max_workers=max(1, len(warm_by_engine))) as pool:
-            list(pool.map(fetch_stream, warm_by_engine.values()))
-
-    import gc
-
-    gc.collect()  # keep collector pauses out of the timed window
-    t0 = time.perf_counter()
-    if c3_ms is None and cost is not None:
-        c3_ms = cost.c3_ms
-    if c3_ms:
-        time.sleep(c3_ms / 1000.0)
-    with ThreadPoolExecutor(max_workers=max(1, len(by_engine))) as pool:
-        streams = list(pool.map(fetch_stream, by_engine.values()))
-    t1 = time.perf_counter()
-
-    # serial query-handler phase: decode, verify, pay the qh share
-    items = 0
-    transported_bytes = 0
-    validator = frontend.validator
-    for stream in streams:
-        for raw in stream:
-            transported_bytes += len(raw)
-            packets = decode_packet_stream(raw)
-            items += len(packets)
-            if verify:
-                for pkt in packets:
-                    if isinstance(pkt, DataPacket):
-                        validator.verify_data(pkt)
-            if cost is not None:
-                time.sleep(cost.query_ms(len(packets)) * cost.p_qh / 1000.0)
-    t2 = time.perf_counter()
-
-    n_q = len(names)
-    return BatchResult(
-        n_q=n_q,
-        n_db=len(cluster.spec.engines),
-        h=warm_fraction,
-        n_i_mean=items / n_q if n_q else 0.0,
-        d_s_mean=transported_bytes / items if items else 0.0,
-        wall_ms=(t2 - t0) * 1000.0,
-        fetch_ms=(t1 - t0) * 1000.0,
-        process_ms=(t2 - t1) * 1000.0,
-        items=items,
-    )
-
-
-def clear_engine_caches(cluster: Cluster) -> None:
-    for node in cluster.engines.values():
-        node.forwarder.cs_clear()
-
-
 # --- stability test and max-rate search -----------------------------------------------
 
 
@@ -496,24 +363,3 @@ def max_rate_search(
         else:
             hi = mid
     return RateSearchResult(lo, hi, probes)
-
-
-# --- CSV helpers ------------------------------------------------------------------------
-
-
-def write_csv(path_or_file, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    import csv
-
-    close = False
-    if isinstance(path_or_file, str):
-        fh = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    finally:
-        if close:
-            fh.close()

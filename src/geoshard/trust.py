@@ -9,6 +9,10 @@ can fetch it from the certificate repo when it is not available locally.
 Two signature schemes share one interface: Ed25519 (default) and an
 HMAC-SHA256 stand-in whose "public key" is the shared secret - symmetric,
 test/benchmark use only.
+
+Access control (:func:`check_access`) reads the data set and owner from the
+object, tile-query and delete names of :mod:`geoshard.naming`; a name in
+no such scheme is refused for every operation.
 """
 
 from __future__ import annotations
@@ -42,12 +46,8 @@ from geoshard.naming import (
     DATA_MARK,
     KeyLocatorInfo,
     NameSchemeError,
-    is_ogb_name,
     key_locator_name,
     parse_delete_name,
-    parse_generic_delete_name,
-    parse_generic_object_name,
-    parse_generic_query_name,
     parse_key_locator,
     parse_object_name,
     parse_tile_query_name,
@@ -384,8 +384,6 @@ class Validator:
             current = self.resolve(current.issuer_kl)
             if current.kl_name == self.anchor.kl_name:
                 break
-        if current.kl_name == self.anchor.kl_name:
-            return current.info.did
         return current.info.did
 
     def verify_interest(self, pkt: InterestPacket) -> Certificate:
@@ -424,25 +422,19 @@ class AccessDecision:
 
 
 def _target_ids(op: AccessOp, target: Name) -> tuple[str, str | None]:
-    """(did, uid) named by the target; uid is None for queries."""
-    if is_ogb_name(target):
-        if op is AccessOp.INSERT:
-            info = parse_object_name(target)
-            return info.did, info.uid
-        if op is AccessOp.QUERY:
-            if DATA_MARK in target.components:  # an object read by a batch fetch
-                return parse_object_name(target).did, None
-            return parse_tile_query_name(target).did, None
-        info = parse_delete_name(target)
-        return info.did, info.uid
+    """(did, uid) named by the target; uid is None for queries.
+
+    Raises NameSchemeError for a target outside the schemes of `naming`.
+    """
     if op is AccessOp.INSERT:
-        g = parse_generic_object_name(target)
-        return g.did, g.uid
+        info = parse_object_name(target)
+        return info.did, info.uid
     if op is AccessOp.QUERY:
-        g = parse_generic_query_name(target)
-        return g.did, None
-    g = parse_generic_delete_name(target)
-    return g.did, g.uid
+        if DATA_MARK in target.components:  # an object read by a batch fetch
+            return parse_object_name(target).did, None
+        return parse_tile_query_name(target).did, None
+    info = parse_delete_name(target)
+    return info.did, info.uid
 
 
 def check_access(op: AccessOp, target_name: Name, kl_name: Name) -> AccessDecision:

@@ -1,3 +1,6 @@
+import socket
+import struct
+
 import pytest
 
 from geoshard.engine import (
@@ -18,6 +21,7 @@ from geoshard.engine import (
 from geoshard.geogrid import TileId, level0, parse_feature
 from geoshard.icn import InterestPacket, Name
 from geoshard.icn.clock import ManualClock
+from geoshard.icn.faces import MAX_FRAME
 from geoshard.icn.packets import DataPacket, decode_packet_stream, reassemble
 from geoshard.naming import (
     delete_name,
@@ -374,6 +378,23 @@ def test_bulk_tcp_roundtrip():
         packets = [p for t, p in build_object_packets(feature, data_signer(env.users["u1"])) if env.engine.owns(t)]
         assert client.insert(packets) == [STATUS_OK] * 3
         assert client.insert(packets) == [STATUS_DUPLICATE] * 3
+        client.close()
+    finally:
+        server.close()
+
+
+def test_bulk_stream_closes_on_oversized_frame():
+    env = Env()
+    server = BulkInsertServer(env.engine, "127.0.0.1", 0)
+    try:
+        with socket.create_connection(server.address, timeout=5) as raw:
+            raw.sendall(struct.pack("!I", MAX_FRAME + 1))
+            assert raw.recv(1) == b""  # closed, not waiting for 32 MiB
+        assert env.engine.stats.inserts == 0
+        client = BulkInsertClient(server.endpoint)
+        feature = parse_feature(feature_dict("tcp-2", (12.55, 41.55)))
+        packets = [p for t, p in build_object_packets(feature, data_signer(env.users["u1"])) if env.engine.owns(t)]
+        assert client.insert(packets) == [STATUS_OK] * 3
         client.close()
     finally:
         server.close()

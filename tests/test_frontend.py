@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 import threading
 from dataclasses import replace
@@ -13,7 +14,6 @@ from geoshard.frontend import (
     RangeQuery,
     RangeQueryError,
     ServiceClient,
-    split_or_conditions,
 )
 from geoshard.geogrid import BBox, FeatureError, TileId, parse_feature
 from geoshard.icn.names import Name
@@ -329,6 +329,22 @@ def test_prefilter_falls_back_when_service_unavailable(cluster):
         fe.bf_client = old
 
 
+def test_range_query_prunes_void_tiles_with_the_bloom_filter(cluster):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    fe.insert(feature_dict("bf-kept", (12.315, 41.325)))
+    try:
+        box = BBox.of(12.301, 41.301, 12.339, 41.339)  # 16 level-2 tiles, one populated
+        pruned = fe.range_query(RangeQuery(box, "Foo", "poi", use_bf=True))
+        full = fe.range_query(RangeQuery(box, "Foo", "poi", use_bf=False))
+        assert pruned.stats.tiles_after < pruned.stats.tiles_before
+        assert not pruned.stats.bf_fallback
+        assert full.stats.tiles_after == full.stats.tiles_before
+        assert "bf-kept" in full.oids
+        assert pruned.oids == full.oids
+    finally:
+        fe.delete("bf-kept", "Foo", "poi", "u1", {"type": "Point", "coordinates": [12.315, 41.325]})
+
+
 def test_parallel_fanout_bounded(cluster):
     fe = cluster.frontend_as("Foo", "poi", "u1")
     in_flight = {"now": 0, "max": 0}
@@ -449,18 +465,6 @@ def test_k_never_changes_results():
 
 
 # ---------------------------------------------------------------------------
-# generic OR-condition decomposition
-
-
-def test_split_or_conditions():
-    names = split_or_conditions("ab", "surname", ["Detti", "Blefari"], lambda v: v[0].lower())
-    assert [str(n) for n in names] == [
-        "ndn:/d/ab/surname=Detti",
-        "ndn:/b/ab/surname=Blefari",
-    ]
-
-
-# ---------------------------------------------------------------------------
 # service endpoint and config files
 
 
@@ -509,13 +513,7 @@ scheme = hmac
 bf_enabled = true
 bf_capacity = 500
 qdata_freshness_ms = 1000
-rate_limit_mbps = 200
 frontends = fe1, fe2
-
-[cost]
-enabled = true
-c1_ms = 3.0
-p_db = 0.85
 
 [engine.e1]
 tiles = 12/41, 13/41
@@ -538,8 +536,6 @@ ndn:/OGB/13/41 = e1
     spec = parse_cluster_config(str(cfg))
     assert spec.scheme == SCHEME_HMAC
     assert spec.engines["e1"] == [TileId.at(0, 12, 41), TileId.at(0, 13, 41)]
-    assert spec.rate_limit_bps == 200e6
-    assert spec.cost is not None and spec.cost.p_db == 0.85
     assert spec.frontends == ["fe1", "fe2"]
     assert spec.routes == [(Name.parse("/OGB/13/41"), "e1")]
     cluster = Cluster(spec)
@@ -549,3 +545,19 @@ ndn:/OGB/13/41 = e1
         assert rep.ok
     finally:
         cluster.close()
+
+
+def test_cluster_close_logs_a_failing_closer_and_runs_the_rest(caplog):
+    cluster = Cluster(make_spec())
+    ran = []
+
+    def broken_closer():
+        raise RuntimeError("cannot close")
+
+    cluster._closers[:0] = [broken_closer]
+    cluster._closers.append(lambda: ran.append("after"))
+    with caplog.at_level(logging.WARNING, logger="geoshard.cluster"):
+        cluster.close()
+    assert ran == ["after"]
+    failures = [r for r in caplog.records if "broken_closer" in r.getMessage()]
+    assert len(failures) == 1 and failures[0].levelno == logging.WARNING

@@ -1,4 +1,6 @@
 import random
+import socket
+import struct
 import threading
 
 import pytest
@@ -26,6 +28,7 @@ from geoshard.icn import (
     split_segment_name,
     tcp_connect,
 )
+from geoshard.icn.faces import MAX_FRAME
 
 
 def test_name_parse_render_roundtrip():
@@ -370,6 +373,16 @@ def test_tcp_face_end_to_end():
         consumer = Consumer(client_face)
         got = consumer.get(Name(["remote", "obj"]), lifetime_ms=2000)
         assert got == b"over-tcp"
+    finally:
+        server.close()
+
+
+def test_tcp_face_closes_on_oversized_frame():
+    server = TcpFaceServer("127.0.0.1", 0, on_face=lambda face: None)
+    try:
+        with socket.create_connection(server.address, timeout=5) as raw:
+            raw.sendall(struct.pack("!I", MAX_FRAME + 1))
+            assert raw.recv(1) == b""  # closed, not waiting for 32 MiB
     finally:
         server.close()
 

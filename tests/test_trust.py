@@ -7,7 +7,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from geoshard.icn import Consumer, Fabric, InterestPacket, Name, Producer
 from geoshard.icn.clock import ManualClock
 from geoshard.icn.packets import DataPacket
-from geoshard.naming import key_locator_name
+from geoshard.geogrid import TileId
+from geoshard.naming import delete_name, key_locator_name, object_name, tile_query_name
 from geoshard.trust import (
     AccessOp,
     SCHEME_ED25519,
@@ -169,16 +170,17 @@ def test_certificate_repo_fetch_over_fabric(pki):
 # ---------------------------------------------------------------------------
 # access-control decision table
 
-KL_RW = key_locator_name("ab", "u1", "rw")
-KL_R = key_locator_name("ab", "u1", "r")
-O_NAME = Name(["d", "ab", "u1", "ptr71z"])
-Q_NAME = Name(["d", "ab", "surname=Detti"])
-D_NAME = O_NAME / "DELETE"
+TILE = TileId.at(2, 12.51, 41.89)
+KL_RW = key_locator_name("Foo.poi", "u1", "rw")
+KL_R = key_locator_name("Foo.poi", "u1", "r")
+O_NAME = object_name(TILE, "Foo", "poi", "u1", "o1")
+Q_NAME = tile_query_name(TILE, "Foo", "poi")
+D_NAME = delete_name(O_NAME)
 
 
 def test_access_table_allow_rows():
     assert check_access(AccessOp.INSERT, O_NAME, KL_RW).allow
-    assert check_access(AccessOp.QUERY, Q_NAME, key_locator_name("ab", "u2", "r")).allow
+    assert check_access(AccessOp.QUERY, Q_NAME, key_locator_name("Foo.poi", "u2", "r")).allow
     assert check_access(AccessOp.QUERY, Q_NAME, KL_RW).allow
     assert check_access(AccessOp.DELETE, D_NAME, KL_RW).allow
 
@@ -187,17 +189,17 @@ def test_access_table_allow_rows():
     "op,target,kl,expect",
     [
         # insert: every single-condition violation denies
-        (AccessOp.INSERT, Name(["d", "xx", "u1", "s"]), KL_RW, False),  # did mismatch
-        (AccessOp.INSERT, Name(["d", "ab", "u2", "s"]), KL_RW, False),  # uid mismatch
+        (AccessOp.INSERT, object_name(TILE, "Foo", "bus", "u1", "o1"), KL_RW, False),  # did mismatch
+        (AccessOp.INSERT, object_name(TILE, "Foo", "poi", "u2", "o1"), KL_RW, False),  # uid mismatch
         (AccessOp.INSERT, O_NAME, KL_R, False),  # read-only key
         (AccessOp.INSERT, O_NAME, KL_RW, True),
         # query: uid is irrelevant, permission r or rw suffices
-        (AccessOp.QUERY, Name(["d", "xx", "c"]), KL_R, False),
+        (AccessOp.QUERY, tile_query_name(TILE, "Foo", "bus"), KL_R, False),
         (AccessOp.QUERY, Q_NAME, KL_R, True),
-        (AccessOp.QUERY, Q_NAME, key_locator_name("ab", "other", "rw"), True),
+        (AccessOp.QUERY, Q_NAME, key_locator_name("Foo.poi", "other", "rw"), True),
         # delete mirrors insert
-        (AccessOp.DELETE, Name(["d", "xx", "u1", "s", "DELETE"]), KL_RW, False),
-        (AccessOp.DELETE, Name(["d", "ab", "u2", "s", "DELETE"]), KL_RW, False),
+        (AccessOp.DELETE, delete_name(object_name(TILE, "Foo", "bus", "u1", "o1")), KL_RW, False),
+        (AccessOp.DELETE, delete_name(object_name(TILE, "Foo", "poi", "u2", "o1")), KL_RW, False),
         (AccessOp.DELETE, D_NAME, KL_R, False),
         (AccessOp.DELETE, D_NAME, KL_RW, True),
     ],
@@ -206,25 +208,25 @@ def test_access_table_matrix(op, target, kl, expect):
     assert check_access(op, target, kl).allow is expect
 
 
-def test_access_on_geographic_names():
-    from geoshard.geogrid import TileId
-    from geoshard.naming import delete_name, object_name, tile_query_name
+@pytest.mark.parametrize(
+    "op,target",
+    [
+        (AccessOp.INSERT, Name(["d", "Foo.poi", "u1", "o1"])),
+        (AccessOp.QUERY, Name(["d", "Foo.poi", "surname=Detti"])),
+        (AccessOp.DELETE, Name(["d", "Foo.poi", "u1", "o1", "DELETE"])),
+    ],
+)
+def test_access_refuses_names_outside_the_ogb_schemes(op, target):
+    with pytest.raises(ValidationError):
+        check_access(op, target, KL_RW)
 
-    tile = TileId.at(2, 12.51, 41.89)
-    oname = object_name(tile, "Foo", "poi", "u1", "o1")
-    kl_u1 = key_locator_name("Foo.poi", "u1", "rw")
-    kl_u2 = key_locator_name("Foo.poi", "u2", "rw")
-    assert check_access(AccessOp.INSERT, oname, kl_u1).allow
-    assert not check_access(AccessOp.INSERT, oname, kl_u2).allow
-    q = tile_query_name(tile, "Foo", "poi")
-    assert check_access(AccessOp.QUERY, q, key_locator_name("Foo.poi", "u2", "r")).allow
-    assert not check_access(AccessOp.QUERY, q, key_locator_name("Bar.poi", "u2", "r")).allow
+
+def test_access_on_geographic_names():
+    # a key of another tenant's data set reads nothing
+    assert not check_access(AccessOp.QUERY, Q_NAME, key_locator_name("Bar.poi", "u2", "r")).allow
     # reading an object by name (batch fetch) follows the query rule
-    assert check_access(AccessOp.QUERY, oname, key_locator_name("Foo.poi", "u2", "r")).allow
-    assert not check_access(AccessOp.QUERY, oname, key_locator_name("Bar.poi", "u1", "rw")).allow
-    d = delete_name(oname)
-    assert not check_access(AccessOp.DELETE, d, kl_u2).allow  # uid mismatch denied
-    assert check_access(AccessOp.DELETE, d, kl_u1).allow
+    assert check_access(AccessOp.QUERY, O_NAME, key_locator_name("Foo.poi", "u2", "r")).allow
+    assert not check_access(AccessOp.QUERY, O_NAME, key_locator_name("Bar.poi", "u1", "rw")).allow
 
 
 def test_access_unparseable_name():
