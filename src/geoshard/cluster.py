@@ -222,7 +222,7 @@ class Cluster:
         if spec.bf_enabled:
             bf_face, _ = self.fabric.attach(self.router, f"{fe_name}-bf")
             bf_client = BloomClient(Consumer(bf_face), interest_signer(self._default_user()))
-        return Frontend(
+        return self._closing(Frontend(
             consumer,
             self._default_user(),
             validator,
@@ -231,7 +231,12 @@ class Cluster:
             clock=self.clock,
             lifetime_ms=spec.fe_lifetime_ms,
             retries=spec.fe_retries,
-        )
+        ))
+
+    def _closing(self, fe: Frontend) -> Frontend:
+        """`fe`, registered to be closed with the cluster."""
+        self._closers.append(fe.close)
+        return fe
 
     def _default_user(self) -> Identity:
         if self.user_ids:
@@ -251,11 +256,11 @@ class Cluster:
         return self.frontends[name]
 
     def frontend_as(self, tid: str, cid: str, uid: str, fe_name: str | None = None) -> Frontend:
-        """A front-end bound to a specific user's credentials."""
+        """A front-end bound to a specific user's credentials; closed with the cluster."""
         base = self.frontend(fe_name)
         user = self.user_ids[(tid, cid, uid)]
         face, _ = self.fabric.attach(self.router, f"fe-{uid}")
-        return Frontend(
+        return self._closing(Frontend(
             Consumer(face, f"fe-{uid}"),
             user,
             base.validator,
@@ -264,13 +269,14 @@ class Cluster:
             clock=self.clock,
             lifetime_ms=self.spec.fe_lifetime_ms,
             retries=self.spec.fe_retries,
-        )
+        ))
 
     def engine(self, node: str) -> DatabaseEngine:
         return self.engines[node].engine
 
     def close(self) -> None:
-        """Run every closer; one that fails is logged and the rest still run."""
+        """Run every closer, the front-ends' among them, in the order they were
+        registered; one that fails is logged and the rest still run."""
         for closer in self._closers:
             try:
                 closer()

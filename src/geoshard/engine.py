@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional
 from geoshard.bloom import CountingBloomFilter, bf_key
 from geoshard.geogrid import LEVELS, TileId, level0
 from geoshard.icn.clock import system_clock
-from geoshard.icn.faces import FrameTooLarge, frame, read_frame
+from geoshard.icn.faces import MAX_FRAME, FrameTooLarge, frame, read_frame
 from geoshard.icn.names import Name
 from geoshard.icn.packets import (
     DataPacket,
@@ -269,6 +269,8 @@ class DatabaseEngine:
         Every name is checked like a tile query of its data set. The reply
         is one engine-signed container of the owner-signed packets found;
         names not held here are left out, and the requester notices them.
+        The reply is rebuilt for each segment Interest, so only the segment
+        sent is signed.
         """
         info = parse_object_batch(base, interest.app_params)
         if info.tile not in self.config.tiles:
@@ -286,13 +288,12 @@ class DatabaseEngine:
         with self._state:
             rows = [self.objects[n].packet for n in info.names if n in self.objects]
             self.stats.object_fetches += len(rows)
-        return segment(
-            base,
+        return ProducerReply(
             encode_packet_stream(rows),
-            max_payload=self.config.max_payload,
             freshness_ms=self.config.qdata_freshness_ms,
             sign=self._sign,
-        )
+            max_payload=self.config.max_payload,
+        ).segments(base)
 
     # --- writes -----------------------------------------------------------------
 
@@ -390,8 +391,8 @@ class DatabaseEngine:
 # Wire protocol, in the frames of `icn.faces`: the client sends one frame
 # per encoded Data packet and an empty frame to end the batch; the server
 # replies with one frame holding one status byte per object, then waits for
-# the next batch on the same connection. A frame above MAX_FRAME closes the
-# connection.
+# the next batch on the same connection. A frame above MAX_FRAME, or a batch
+# whose frames add up to more than MAX_FRAME bytes, closes the connection.
 
 
 class BulkInsertServer:
@@ -418,6 +419,7 @@ class BulkInsertServer:
         with sock:
             while True:
                 batch: list[DataPacket] = []
+                size = 0
                 while True:
                     try:
                         raw = read_frame(sock)
@@ -428,6 +430,11 @@ class BulkInsertServer:
                         return
                     if not raw:
                         break
+                    size += len(raw)
+                    if size > MAX_FRAME:
+                        log.warning("%s: bulk batch exceeds %d bytes, closing",
+                                    self.engine.config.node_id, MAX_FRAME)
+                        return
                     try:
                         pkt = decode_packet(raw)
                     except ValueError:

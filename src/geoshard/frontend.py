@@ -2,16 +2,34 @@
 
 A range query runs in two phases: tile-querying (tessellate the box,
 optionally pre-filter void tiles through the Bloom server, fan the
-tile-queries out in parallel) and post-filtering. The post-filter keeps one
-copy per object identity (tid, cid, uid, oid) and tests each copy of an
-unresolved identity in this order, cheapest first:
+tile-queries out on the front-end's fan-out pool) and post-filtering.
+
+Trust boundary: each signature vouches for one fact.
+
+- The engine's signature on a tile reply or a batch reply vouches for its
+  index records: that the engine holds these rows for the named tile, data
+  set and period. The front-end verifies it on every reply segment
+  (transport validation). The engine verified the owner's signature on each
+  row when it was inserted.
+- The owner's signature vouches for the data that is returned. Every
+  returned object - a master fetched in a batch or one found in a tile
+  reply - passes the provenance check: the owner's signature and a
+  certificate chain to the tenant its name claims.
+
+A reference is never returned; it only says which master to fetch, so the
+engine-signed reply that carries it vouches for it and it has no owner
+check of its own. A reference that names a wrong master tile cannot shorten
+a result: its master is then missing from the batch, and the query fails.
+
+The post-filter keeps one copy per object identity (tid, cid, uid, oid) and
+tests each copy of an unresolved identity in this order, cheapest first:
 
 1. temporal: the validity interval in the payload header;
 2. spatial: for a reference, the extent it carries (include: extent inside
    the box, exact for points; intersect: extent touches the box, a
    necessary condition); for a master, the exact match on its geometry
    and validity;
-3. provenance: the owner's signature and certificate chain.
+3. provenance, masters only: the owner's signature and certificate chain.
 
 A copy that fails a step is dropped without settling its identity, so
 later copies stay eligible. The masters of the references that pass are
@@ -27,7 +45,8 @@ import logging
 import socket
 import socketserver
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -90,6 +109,13 @@ class InsertError(Exception):
 
 @dataclass
 class RangeQuery:
+    """One range query.
+
+    `parallelism` caps the requests this query has in flight at once. The
+    front-end's fan-out pool has DEFAULT_PARALLELISM threads, so a larger
+    value is served at the pool size.
+    """
+
     bbox: BBox
     tid: str
     cid: str
@@ -191,7 +217,11 @@ def temporal_match(valid_time: tuple[int, int] | None, interval: tuple[int, int]
 
 
 class Frontend:
-    """One front-end instance; safe for concurrent client calls."""
+    """One front-end instance; safe for concurrent client calls.
+
+    Its fan-out pool of DEFAULT_PARALLELISM threads serves every call for
+    the front-end's lifetime; `close` shuts it down.
+    """
 
     def __init__(
         self,
@@ -218,6 +248,7 @@ class Frontend:
         self._ipres_cache: dict[Name, tuple[str, float]] = {}
         self._transports: dict[str, BulkTransport] = {}
         self._lock = threading.Lock()
+        self._pool = ThreadPoolExecutor(DEFAULT_PARALLELISM, thread_name_prefix="fanout")
 
     # --- validation helpers --------------------------------------------------
 
@@ -292,7 +323,14 @@ class Frontend:
         return QueryResult(objects, stats)
 
     def _fetch_all(self, requests: list[tuple[Name, bytes | None]], parallelism: int) -> list[bytes]:
-        """Payloads of (name, application parameters) requests, in order."""
+        """Payloads of (name, application parameters) requests, in order.
+
+        At most `parallelism` lanes run, each taking the next request until
+        none is left: the caller runs one and the pool the rest, so a lane
+        that waits on the network leaves the work to the others. The first
+        failure stops the lanes after their current request and is raised
+        once all have returned.
+        """
 
         def fetch(request: tuple[Name, bytes | None]) -> bytes:
             name, params = request
@@ -310,19 +348,38 @@ class Frontend:
             except ValidationError as exc:
                 raise RangeQueryError(name, f"validation: {exc}") from None
 
-        if not requests:
-            return []
-        if len(requests) == 1:
-            return [fetch(requests[0])]
-        with ThreadPoolExecutor(max_workers=min(parallelism, len(requests))) as pool:
-            return list(pool.map(fetch, requests))
+        todo = deque(enumerate(requests))
+        payloads: list[bytes] = [b""] * len(requests)
+
+        def lane() -> None:
+            while True:
+                try:
+                    index, request = todo.popleft()
+                except IndexError:
+                    return
+                try:
+                    payloads[index] = fetch(request)
+                except BaseException:
+                    todo.clear()
+                    raise
+
+        lanes = min(parallelism, DEFAULT_PARALLELISM, len(requests))
+        futures = [self._pool.submit(lane) for _ in range(lanes - 1)]
+        try:
+            lane()
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
+        return payloads
 
     def _collect(self, payloads: list[bytes], q: RangeQuery, stats: QueryStats) -> list[Feature]:
         """The objects matching `q`, one per identity; references resolved.
 
-        Each copy of an unresolved identity is tested against `q` and then
-        provenance-checked; a copy that fails either leaves later copies
-        eligible.
+        Each copy of an unresolved identity is tested against `q`; a master
+        is then provenance-checked, while a reference is vouched for by the
+        engine-signed reply that carried it. A copy that fails a test leaves
+        later copies eligible.
         """
         features: dict[ObjectKey, Feature] = {}
         refs: dict[ObjectKey, TileId] = {}  # identity -> master's level-2 tile
@@ -341,7 +398,6 @@ class Frontend:
                         extent, master_tile = payload.reference()
                         if not extent_match(extent, q.bbox, q.mode):
                             continue
-                        self._check_provenance(pkt)
                         refs[key] = master_tile
                     else:
                         feature = parse_feature(payload.body)
@@ -468,6 +524,8 @@ class Frontend:
         return DeleteReport(oid, per_tile)
 
     def close(self) -> None:
+        """Shut the fan-out pool down and close the bulk transports; idempotent."""
+        self._pool.shutdown()
         with self._lock:
             for t in self._transports.values():
                 close = getattr(t, "close", None)

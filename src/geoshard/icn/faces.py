@@ -109,15 +109,21 @@ def read_frame(sock: socket.socket) -> bytes | None:
 
 
 class TcpFace(Face):
-    """Face carried over a TCP socket; a reader thread feeds on_receive."""
+    """Face carried over a TCP socket; a reader thread feeds on_receive.
+
+    The reader starts with `start`, once on_receive is wired, so that no
+    packet arrives before anyone listens.
+    """
 
     def __init__(self, sock: socket.socket, label: str = "tcp"):
         super().__init__(label)
         self._sock = sock
         self._send_lock = threading.Lock()
         self._closed = False
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+
+    def start(self) -> "TcpFace":
+        threading.Thread(target=self._read_loop, daemon=True).start()
+        return self
 
     def send(self, pkt: Packet) -> None:
         raw = encode_packet(pkt)
@@ -160,7 +166,8 @@ class TcpFace(Face):
 
 
 class TcpFaceServer:
-    """Accepts TCP connections and hands each one to `on_face` as a TcpFace."""
+    """Accepts TCP connections and hands each one to `on_face` as a TcpFace,
+    whose reader starts when `on_face` returns."""
 
     def __init__(self, host: str, port: int, on_face: Callable[[TcpFace], None]):
         self._srv = socket.create_server((host, port))
@@ -180,6 +187,7 @@ class TcpFaceServer:
             face = TcpFace(sock, label=f"tcp<{addr[0]}:{addr[1]}")
             self._faces.append(face)
             self._on_face(face)
+            face.start()
 
     def close(self) -> None:
         self._closed = True
@@ -192,4 +200,5 @@ class TcpFaceServer:
 
 
 def tcp_connect(host: str, port: int, label: str = "tcp") -> TcpFace:
-    return TcpFace(socket.create_connection((host, port), timeout=10), label=label)
+    """A started TcpFace to a server; the client speaks first."""
+    return TcpFace(socket.create_connection((host, port), timeout=10), label=label).start()

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from geoshard.icn.faces import Face
 from geoshard.icn.names import Name
@@ -26,11 +27,37 @@ class ProducerReply:
     sign: Callable[[DataPacket], DataPacket] | None = None
     max_payload: int = DEFAULT_MAX_PAYLOAD
 
+    def segments(self, name: Name) -> "SignOnRead":
+        """The reply's segments under `name`, each signed only when it is read."""
+        unsigned = segment(
+            name, self.payload, max_payload=self.max_payload, freshness_ms=self.freshness_ms
+        )
+        return SignOnRead(unsigned, self.sign)
+
+
+class SignOnRead(Sequence[DataPacket]):
+    """Segments signed one at a time, as each is read.
+
+    A reply built per Interest is sent one segment per Interest, so signing
+    the segments nobody asked for would be wasted.
+    """
+
+    def __init__(self, segments: list[DataPacket], sign: Callable[[DataPacket], DataPacket] | None):
+        self._segments = segments
+        self._sign = sign
+
+    def __len__(self) -> int:
+        return len(self._segments)
+
+    def __getitem__(self, index: int) -> DataPacket:  # type: ignore[override]
+        pkt = self._segments[index]
+        return self._sign(pkt) if self._sign is not None else pkt
+
 
 # A handler returns None to drop the Interest (no reply), a ProducerReply to
-# have the producer segment and optionally sign it, or a prebuilt segment
-# list (the application manages its own caching in that case).
-Handler = Callable[[Name, InterestPacket], Union[ProducerReply, list[DataPacket], None]]
+# have the producer segment it and sign the segment it sends, or a segment
+# sequence (prebuilt and signed, when the application caches its replies).
+Handler = Callable[[Name, InterestPacket], Union[ProducerReply, Sequence[DataPacket], None]]
 
 
 class Producer:
@@ -57,15 +84,6 @@ class Producer:
             return
         if reply is None:
             return
-        if isinstance(reply, ProducerReply):
-            segments = segment(
-                base,
-                reply.payload,
-                max_payload=reply.max_payload,
-                freshness_ms=reply.freshness_ms,
-                sign=reply.sign,
-            )
-        else:
-            segments = reply
+        segments = reply.segments(base) if isinstance(reply, ProducerReply) else reply
         if seg_index < len(segments):
             self.face.send(segments[seg_index])

@@ -13,6 +13,18 @@ test/benchmark use only.
 Access control (:func:`check_access`) reads the data set and owner from the
 object, tile-query and delete names of :mod:`geoshard.naming`; a name in
 no such scheme is refused for every operation.
+
+Which signature vouches for which fact, after the trust-schema rules of Yu
+et al. ("Schematizing Trust in Named Data Networking", ICN 2015):
+
+- a user's signature on an object packet vouches for the object; engines
+  verify it, with the owner and tenant its name claims, before they store
+  the packet, and front-ends verify it again on every object they return;
+- an engine's signature on a tile or batch reply vouches for the index
+  records it carries, references included, which front-ends therefore do
+  not verify one by one;
+- a user's signature on an Interest vouches for the request; engines apply
+  :func:`check_access` to its signer.
 """
 
 from __future__ import annotations

@@ -19,10 +19,17 @@ from geoshard.engine import (
     STATUS_WRONG_SHARD,
 )
 from geoshard.geogrid import TileId, level0, parse_feature
-from geoshard.icn import InterestPacket, Name
+from geoshard.icn import Consumer, InterestPacket, Name, Producer, face_pair
 from geoshard.icn.clock import ManualClock
-from geoshard.icn.faces import MAX_FRAME
-from geoshard.icn.packets import DataPacket, decode_packet_stream, reassemble
+from geoshard.icn.faces import MAX_FRAME, frame
+from geoshard.icn.packets import (
+    DataPacket,
+    decode_packet_stream,
+    encode_packet,
+    encode_packet_stream,
+    reassemble,
+    segment_name,
+)
 from geoshard.naming import (
     delete_name,
     ip_res_name,
@@ -369,6 +376,32 @@ def test_object_fetch_digest_must_match_parameters():
     assert env.engine.handle_interest(name, forged) is None
 
 
+def test_batch_reply_signs_only_the_segment_each_interest_asks_for():
+    env = Env()
+    masters = []
+    for i in range(3):
+        _, packets = env.insert_feature(feature_dict(f"seg{i}", (12.95 + i / 100, 41.95)))
+        masters += [p for _, p in packets if not decode_object_payload(p.payload).is_reference]
+    payload = encode_packet_stream(masters)
+    env.engine.config.max_payload = -(-len(payload) // 3)  # three segments
+    signed = []
+    sign = env.engine._sign
+    env.engine._sign = lambda pkt: signed.append(pkt.name) or sign(pkt)
+    producer_face, consumer_face = face_pair()
+    env.engine.attach(Producer(producer_face))
+    name, params = object_batch(TileId.at(0, 12, 41), "Foo", "poi", [p.name for p in masters])
+    got = Consumer(consumer_face).get(
+        name,
+        app_params=params,
+        sign=lambda interest: sign_interest(env.users["u1"], interest),
+        validate=env.validator.verify_data,  # every segment verifies
+        lifetime_ms=500,
+        retries=0,
+    )
+    assert got == payload
+    assert sorted(signed) == [segment_name(name, i) for i in range(3)]
+
+
 def test_bulk_tcp_roundtrip():
     env = Env()
     server = BulkInsertServer(env.engine, "127.0.0.1", 0)
@@ -394,6 +427,30 @@ def test_bulk_stream_closes_on_oversized_frame():
         client = BulkInsertClient(server.endpoint)
         feature = parse_feature(feature_dict("tcp-2", (12.55, 41.55)))
         packets = [p for t, p in build_object_packets(feature, data_signer(env.users["u1"])) if env.engine.owns(t)]
+        assert client.insert(packets) == [STATUS_OK] * 3
+        client.close()
+    finally:
+        server.close()
+
+
+def test_bulk_stream_closes_when_a_batch_outgrows_the_frame_bound():
+    env = Env()
+    server = BulkInsertServer(env.engine, "127.0.0.1", 0)
+    feature = parse_feature(feature_dict("tcp-3", (12.55, 41.55)))
+    packets = [p for t, p in build_object_packets(feature, data_signer(env.users["u1"])) if env.engine.owns(t)]
+    filler = frame(bytes(MAX_FRAME // 3 + 1))  # undecodable; three pass the bound
+    try:
+        with socket.create_connection(server.address, timeout=5) as raw:
+            raw.sendall(b"".join(frame(encode_packet(p)) for p in packets))
+            try:
+                for _ in range(3):
+                    raw.sendall(filler)
+                closed = raw.recv(1) == b""  # no end frame was sent
+            except ConnectionError:  # reset: the server closed with data unread
+                closed = True
+            assert closed
+        assert env.engine.stats.inserts == 0
+        client = BulkInsertClient(server.endpoint)
         assert client.insert(packets) == [STATUS_OK] * 3
         client.close()
     finally:

@@ -1,7 +1,10 @@
 import json
 import logging
 import random
+import struct
+import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -17,9 +20,14 @@ from geoshard.frontend import (
 )
 from geoshard.geogrid import BBox, FeatureError, TileId, parse_feature
 from geoshard.icn.names import Name
-from geoshard.icn.packets import InterestPacket, encode_packet_stream
+from geoshard.icn.packets import DataPacket, InterestPacket, encode_packet_stream
 from geoshard.naming import delete_name, object_name
-from geoshard.objects import build_object_packets, decode_object_payload
+from geoshard.objects import (
+    build_object_packets,
+    decode_object_payload,
+    encode_object_payload,
+    master_tile,
+)
 from geoshard.tessellate import temporal_decompose
 from geoshard.trust import SCHEME_HMAC, data_signer, sign_interest
 
@@ -368,6 +376,186 @@ def test_parallel_fanout_bounded(cluster):
     finally:
         fe.consumer.get = real_get
     assert 0 < in_flight["max"] <= 3
+
+
+def _count_provenance(monkeypatch, fe) -> list[Name]:
+    """Names of the packets `fe` provenance-checks from now on."""
+    checked: list[Name] = []
+    real_check = fe._check_provenance
+
+    def counting_check(pkt):
+        checked.append(pkt.name)
+        return real_check(pkt)
+
+    monkeypatch.setattr(fe, "_check_provenance", counting_check)
+    return checked
+
+
+def _master_name(feature) -> Name:
+    return object_name(master_tile(feature), feature.tid, feature.cid, feature.uid, feature.oid)
+
+
+def _reference(obj, signer) -> DataPacket:
+    return next(
+        p for _, p in build_object_packets(parse_feature(obj), signer)
+        if decode_object_payload(p.payload).is_reference
+    )
+
+
+def test_provenance_checked_once_per_returned_object_and_never_on_references(
+    cluster, monkeypatch
+):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    objs = [
+        feature_dict("tb-point", (13.812, 42.312)),
+        feature_dict("tb-multi", [(13.823, 42.334), (13.871, 42.415)], multi=True),
+        feature_dict("tb-far", [(13.905, 42.441), (13.64, 42.85)], multi=True),
+    ]
+    for obj in objs:
+        assert fe.insert(obj).ok
+    checked = _count_provenance(monkeypatch, fe)
+    references = []
+    real_decode = frontend_mod.decode_object_payload
+
+    def counting_decode(raw):
+        payload = real_decode(raw)
+        references.append(payload.is_reference)
+        return payload
+
+    monkeypatch.setattr(frontend_mod, "decode_object_payload", counting_decode)
+    try:
+        box = BBox.of(13.8, 42.3, 13.95, 42.45)  # spans four level-1 tiles
+        # k=1 answers from the level-0 tile (references only); k=50 from
+        # level-2 tiles, whose replies carry masters
+        for k in (1, 50):
+            checked.clear()
+            res = fe.range_query(RangeQuery(box, "Foo", "poi", k=k))
+            assert {"tb-point", "tb-multi", "tb-far"} <= res.oids
+            assert sorted(checked) == sorted(_master_name(f) for f in res.objects)
+        assert any(references)
+    finally:
+        for obj in objs:
+            p = obj["properties"]
+            fe.delete(p["oid"], p["tid"], p["cid"], p["uid"], obj["geometry"])
+
+
+def test_reference_with_a_zeroed_owner_signature_still_resolves(cluster, monkeypatch):
+    # the engine-signed reply vouches for a reference; its master keeps the owner check
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    obj = feature_dict("zero-ref", (13.852, 42.362))
+    assert fe.insert(obj).ok
+    ref = _reference(obj, data_signer(cluster.user_ids[("Foo", "poi", "u1")]))
+    zeroed = replace(ref, signature=bytes(len(ref.signature)))
+    checked = _count_provenance(monkeypatch, fe)
+    try:
+        stats = QueryStats()
+        q = RangeQuery(BBox.of(13.85, 42.36, 13.86, 42.37), "Foo", "poi")
+        assert [f.oid for f in fe._collect([encode_packet_stream([zeroed])], q, stats)] == [
+            "zero-ref"
+        ]
+        assert checked == [_master_name(parse_feature(obj))]
+        assert stats.validation_warnings == 0
+    finally:
+        fe.delete("zero-ref", "Foo", "poi", "u1", obj["geometry"])
+
+
+def test_reference_naming_a_wrong_master_tile_fails_the_query(cluster):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    obj = feature_dict("misled", (13.862, 42.372))
+    assert fe.insert(obj).ok
+    signer = data_signer(cluster.user_ids[("Foo", "poi", "u1")])
+    ref = _reference(obj, signer)
+    extent, tile = decode_object_payload(ref.payload).reference()
+    wrong = TileId(tile.level, tile.lng_idx + 1, tile.lat_idx)  # same engine, no master there
+    record = struct.pack("!ddddii", *extent, wrong.lng_idx, wrong.lat_idx)
+    misled = signer(replace(ref, payload=encode_object_payload(True, None, record)))
+    try:
+        q = RangeQuery(BBox.of(13.86, 42.37, 13.87, 42.38), "Foo", "poi")
+        with pytest.raises(RangeQueryError) as err:
+            fe._collect([encode_packet_stream([misled])], q, QueryStats())
+        assert err.value.name == object_name(wrong, "Foo", "poi", "u1", "misled")
+    finally:
+        fe.delete("misled", "Foo", "poi", "u1", obj["geometry"])
+
+
+def test_warm_fanout_pool_starts_no_threads(cluster, monkeypatch):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    q = RangeQuery(BBox.of(12.05, 41.05, 12.35, 41.35), "Foo", "poi", k=40)  # 40 sub-queries
+    real_get = fe.consumer.get
+
+    def slow_get(*args, **kw):
+        time.sleep(0.005)  # every lane is still busy when the last one is submitted
+        return real_get(*args, **kw)
+
+    # warm-up: two slowed queries at once submit more lanes than the pool has
+    # threads, so it starts all of them
+    monkeypatch.setattr(fe.consumer, "get", slow_get)
+    warm_up = [threading.Thread(target=fe.range_query, args=(q,)) for _ in range(2)]
+    for t in warm_up:
+        t.start()
+    for t in warm_up:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in warm_up)
+    monkeypatch.undo()
+    starts = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        return real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for _ in range(5):
+        fe.range_query(q)
+    assert starts == []
+
+
+def test_concurrent_queries_share_the_fanout_pool(cluster):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    points = {f"pool{i}": (12.06 + i * 0.05, 41.07 + i * 0.04) for i in range(6)}
+    for oid, point in points.items():
+        assert fe.insert(feature_dict(oid, point)).ok
+    q = RangeQuery(BBox.of(12.05, 41.05, 12.35, 41.35), "Foo", "poi", k=40)
+    results, errors = [], []
+
+    def client():
+        try:
+            for _ in range(3):
+                results.append(fe.range_query(q).oids)
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client) for _ in range(6)]  # 18 calls, 8 workers
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        for oid, point in points.items():
+            fe.delete(oid, "Foo", "poi", "u1", {"type": "Point", "coordinates": list(point)})
+    assert errors == []
+    assert results == [set(points)] * 18
+
+
+def test_cluster_close_shuts_every_frontend_pool():
+    cluster = Cluster(make_spec())
+    fes = [
+        ("Foo", cluster.frontend()),
+        ("Foo", cluster.frontend_as("Foo", "poi", "u1")),
+        ("Bar", cluster.frontend_as("Bar", "poi", "w1")),
+    ]
+    box = BBox.of(12.05, 41.05, 12.35, 41.35)  # 16 sub-queries at k=20
+    for tid, fe in fes:
+        assert fe.range_query(RangeQuery(box, tid, "poi", k=20)).objects == []
+    cluster.close()
+    for _, fe in fes:
+        with pytest.raises(RuntimeError):
+            fe._pool.submit(int)
 
 
 # ---------------------------------------------------------------------------

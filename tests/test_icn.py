@@ -2,6 +2,7 @@ import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -373,6 +374,26 @@ def test_tcp_face_end_to_end():
         consumer = Consumer(client_face)
         got = consumer.get(Name(["remote", "obj"]), lifetime_ms=2000)
         assert got == b"over-tcp"
+    finally:
+        server.close()
+
+
+def test_tcp_face_reads_nothing_before_on_face_wires_it():
+    fabric = Fabric()
+    router = fabric.forwarder("router")
+    prod_face, prod_fid = fabric.attach(router, "producer")
+    router.advertise(Name(["remote"]), prod_fid)
+    Producer(prod_face).serve(Name(["remote"]), lambda n, i: ProducerReply(b"early"))
+
+    def slow_wiring(face):
+        time.sleep(0.3)  # the client's Interest arrives meanwhile
+        router.add_face(face)
+
+    server = TcpFaceServer("127.0.0.1", 0, on_face=slow_wiring)
+    try:
+        consumer = Consumer(tcp_connect(*server.address))
+        got = consumer.get(Name(["remote", "first"]), lifetime_ms=2000, retries=0)
+        assert got == b"early"
     finally:
         server.close()
 
