@@ -16,6 +16,11 @@ Trust boundary: each signature vouches for one fact.
   reply - passes the provenance check: the owner's signature and a
   certificate chain to the tenant its name claims.
 
+Each of these checks verifies an Ed25519 signature once per front-end: the
+front-end's memo of verified signatures (see :mod:`geoshard.trust`) answers
+a reply segment or a master it has already verified, while certificate,
+chain, validity window and owner checks run on every packet.
+
 A reference is never returned; it only says which master to fetch, so the
 engine-signed reply that carries it vouches for it and it has no owner
 check of its own. A reference that names a wrong master tile cannot shorten
@@ -81,9 +86,11 @@ from geoshard.objects import (
 )
 from geoshard.tessellate import PeriodSet, constrained_tessellation, temporal_decompose
 from geoshard.trust import (
+    Certificate,
     Identity,
     ValidationError,
     Validator,
+    VerifiedMemo,
     data_signer,
     interest_signer,
 )
@@ -220,7 +227,8 @@ class Frontend:
     """One front-end instance; safe for concurrent client calls.
 
     Its fan-out pool of DEFAULT_PARALLELISM threads serves every call for
-    the front-end's lifetime; `close` shuts it down.
+    the front-end's lifetime; `close` shuts it down. `verified` is its memo
+    of verified signatures, with hit and miss counts.
     """
 
     def __init__(
@@ -249,12 +257,17 @@ class Frontend:
         self._transports: dict[str, BulkTransport] = {}
         self._lock = threading.Lock()
         self._pool = ThreadPoolExecutor(DEFAULT_PARALLELISM, thread_name_prefix="fanout")
+        self.verified = VerifiedMemo()
 
     # --- validation helpers --------------------------------------------------
 
+    def _verify_data(self, pkt: DataPacket) -> Certificate:
+        """Transport validation: signer's chain checked, signature verified once."""
+        return self.validator.verify_data(pkt, self.verified)
+
     def _check_provenance(self, pkt: DataPacket) -> None:
         """The object must be signed by the owner its name claims."""
-        cert = self.validator.verify_data(pkt)
+        cert = self._verify_data(pkt)
         info = parse_object_name(pkt.name)
         kl = cert.info
         if kl.uid != info.uid or kl.did != info.did:
@@ -341,7 +354,7 @@ class Frontend:
                     retries=self.retries,
                     sign=self._sign_interest,
                     app_params=params,
-                    validate=self.validator.verify_data,
+                    validate=self._verify_data,
                 )
             except GetTimeoutError:
                 raise RangeQueryError(name, "timeout") from None
@@ -462,7 +475,7 @@ class Frontend:
                 return cached[0]
         pkt = self.consumer.get_packet(
             ip_res_name(tile_l0), lifetime_ms=self.lifetime_ms, retries=self.retries,
-            validate=self.validator.verify_data,
+            validate=self._verify_data,
         )
         endpoint = pkt.payload.decode()
         with self._lock:
@@ -516,7 +529,7 @@ class Frontend:
                     lifetime_ms=self.lifetime_ms,
                     retries=self.retries,
                     sign=self._sign_interest,
-                    validate=self.validator.verify_data,
+                    validate=self._verify_data,
                 )
                 per_tile.append((oname, raw.decode()))
             except GetTimeoutError:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from typing import Callable
 
 from geoshard.icn.faces import Face
@@ -42,7 +42,8 @@ class Consumer:
     """Blocking fetch API over a single face.
 
     Retransmission is consumer-side: a fixed interval equal to the Interest
-    lifetime, `retries` additional attempts with fresh nonces.
+    lifetime, `retries` additional attempts with fresh nonces. Every fetch
+    runs on the caller's thread.
     """
 
     def __init__(self, face: Face, label: str = "consumer"):
@@ -61,30 +62,47 @@ class Consumer:
             w.packet = pkt
             w.event.set()
 
+    def _send(self, interest: InterestPacket) -> _Waiter:
+        waiter = _Waiter()
+        with self._lock:
+            self._pending.setdefault(interest.name, []).append(waiter)
+        self.face.send(interest)
+        return waiter
+
+    def _forget(self, name: Name, waiter: _Waiter) -> None:
+        with self._lock:
+            waiters = self._pending.get(name)
+            if waiters and waiter in waiters:
+                waiters.remove(waiter)
+                if not waiters:
+                    del self._pending[name]
+
+    def _await(
+        self,
+        interest: InterestPacket,
+        waiter: _Waiter,
+        retries: int,
+        validate: DataValidator | None,
+    ) -> DataPacket:
+        """The Data answering `interest`, already sent to `waiter`; each
+        timeout retransmits it with a fresh nonce, `retries` times at most."""
+        for attempt in range(retries + 1):
+            if attempt:
+                waiter = self._send(interest.with_new_nonce())
+            if waiter.event.wait(interest.lifetime_ms / 1000.0):
+                if validate is not None:
+                    validate(waiter.packet)  # raises on failure
+                return waiter.packet
+            self._forget(interest.name, waiter)
+        raise GetTimeoutError(interest.name, retries + 1)
+
     def express_interest(
         self,
         interest: InterestPacket,
         retries: int = DEFAULT_RETRIES,
         validate: DataValidator | None = None,
     ) -> DataPacket:
-        attempts = retries + 1
-        for attempt in range(attempts):
-            pkt = interest if attempt == 0 else interest.with_new_nonce()
-            waiter = _Waiter()
-            with self._lock:
-                self._pending.setdefault(pkt.name, []).append(waiter)
-            self.face.send(pkt)
-            if waiter.event.wait(pkt.lifetime_ms / 1000.0):
-                if validate is not None:
-                    validate(waiter.packet)  # raises on failure
-                return waiter.packet
-            with self._lock:
-                waiters = self._pending.get(pkt.name)
-                if waiters and waiter in waiters:
-                    waiters.remove(waiter)
-                    if not waiters:
-                        del self._pending[pkt.name]
-        raise GetTimeoutError(interest.name, attempts)
+        return self._await(interest, self._send(interest), retries, validate)
 
     def get(
         self,
@@ -99,24 +117,33 @@ class Consumer:
     ) -> bytes:
         """Fetch a (possibly segmented) content object by name.
 
-        Fetches segment 0, reads the final-segment marker, pipelines the
-        remaining segments, and reassembles the payload in order.
+        Fetches segment 0 and reads the final-segment marker. The caller's
+        thread then keeps up to `window` Interests for the remaining
+        segments outstanding, waits on the oldest (retransmitting it on
+        timeout), and reassembles the payload in order.
         """
 
-        def fetch(index: int) -> DataPacket:
-            interest = InterestPacket(
+        def interest(index: int) -> InterestPacket:
+            pkt = InterestPacket(
                 segment_name(name, index), lifetime_ms=lifetime_ms, app_params=app_params
             )
-            if sign is not None:
-                interest = sign(interest)
-            return self.express_interest(interest, retries=retries, validate=validate)
+            return pkt if sign is None else sign(pkt)
 
-        first = fetch(0)
+        first = self.express_interest(interest(0), retries=retries, validate=validate)
         final = first.final_segment or 0
         segments = [first]
-        if final > 0:
-            with ThreadPoolExecutor(max_workers=min(window, final)) as pool:
-                segments.extend(pool.map(fetch, range(1, final + 1)))
+        outstanding: deque[tuple[InterestPacket, _Waiter]] = deque()
+        try:
+            for index in range(1, final + 1):
+                if len(outstanding) >= window:
+                    segments.append(self._await(*outstanding.popleft(), retries, validate))
+                pkt = interest(index)
+                outstanding.append((pkt, self._send(pkt)))
+            while outstanding:
+                segments.append(self._await(*outstanding.popleft(), retries, validate))
+        finally:
+            for pkt, waiter in outstanding:
+                self._forget(pkt.name, waiter)
         return reassemble(segments)
 
     def get_packet(

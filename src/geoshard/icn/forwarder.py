@@ -21,9 +21,8 @@ from geoshard.icn.packets import DataPacket, InterestPacket, Packet
 
 def longest_prefix_match(fib: dict[Name, set[int]], name: Name) -> set[int]:
     """Faces of the FIB entry with the most matching leading components."""
-    comps = name.components
-    for plen in range(len(comps), -1, -1):
-        entry = fib.get(Name(comps[:plen]))
+    for plen in range(len(name), -1, -1):
+        entry = fib.get(name.prefix(plen))
         if entry:
             return set(entry)
     return set()

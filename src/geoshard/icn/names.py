@@ -1,6 +1,10 @@
 """Hierarchical names: ordered components rendered as ``ndn:/a/b/c``.
 
 Comparison and prefix tests are always component-wise, never substring-wise.
+A component is a non-empty str without ``/``. It is validated once, where it
+enters a name: the constructor, ``/`` and ``append`` check their new
+components, and the packet decoder checks what it reads off the wire.
+Slices, ``prefix`` and ``+`` reuse components that are already valid.
 """
 
 from __future__ import annotations
@@ -10,6 +14,14 @@ from typing import Iterable, Iterator
 _SCHEME = "ndn:"
 
 
+def _check(comps: tuple) -> None:
+    for c in comps:
+        if not isinstance(c, str):
+            raise TypeError(f"name component must be str, got {type(c).__name__}")
+        if not c or "/" in c:
+            raise ValueError(f"invalid name component: {c!r}")
+
+
 class Name:
     """Immutable hierarchical name."""
 
@@ -17,12 +29,15 @@ class Name:
 
     def __init__(self, components: Iterable[str] = ()):
         comps = tuple(components)
-        for c in comps:
-            if not isinstance(c, str):
-                raise TypeError(f"name component must be str, got {type(c).__name__}")
-            if not c or "/" in c:
-                raise ValueError(f"invalid name component: {c!r}")
+        _check(comps)
         object.__setattr__(self, "_components", comps)
+
+    @classmethod
+    def _of(cls, comps: tuple[str, ...]) -> "Name":
+        """A name over components that are already valid; no check."""
+        name = object.__new__(cls)
+        object.__setattr__(name, "_components", comps)
+        return name
 
     @classmethod
     def parse(cls, uri: str) -> "Name":
@@ -49,16 +64,18 @@ class Name:
         return other._components[:n] == self._components
 
     def prefix(self, n: int) -> "Name":
-        return Name(self._components[:n])
+        return Name._of(self._components[:n])
 
     def append(self, *components: str) -> "Name":
-        return Name(self._components + components)
+        _check(components)
+        return Name._of(self._components + components)
 
     def __truediv__(self, component: str) -> "Name":
-        return Name(self._components + (component,))
+        _check((component,))
+        return Name._of(self._components + (component,))
 
     def __add__(self, other: "Name") -> "Name":
-        return Name(self._components + other._components)
+        return Name._of(self._components + other._components)
 
     def __len__(self) -> int:
         return len(self._components)
@@ -68,7 +85,7 @@ class Name:
 
     def __getitem__(self, idx):
         got = self._components[idx]
-        return Name(got) if isinstance(idx, slice) else got
+        return Name._of(got) if isinstance(idx, slice) else got
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Name) and self._components == other._components

@@ -15,6 +15,11 @@ Wire layout (all integers big-endian):
 Signatures cover the name, application parameters and key locator for
 Interests (so retransmissions with fresh nonces stay valid), and the name,
 freshness, segment fields, key locator and payload for Data.
+
+The decoder reads fields at offsets into the buffer it is given; the items
+of a stream are decoded in place, without copying them out first. Every
+malformed input - truncated, with trailing bytes, or with an empty, ``/``
+-bearing or non-UTF-8 name component - raises WireFormatError.
 """
 
 from __future__ import annotations
@@ -37,6 +42,13 @@ DEFAULT_LIFETIME_MS = 4000
 DEFAULT_MAX_PAYLOAD = 8192
 
 _SEG_PREFIX = "seg="
+
+_U16 = struct.Struct("!H")
+_U32 = struct.Struct("!I")
+_INTEREST_HEAD = struct.Struct("!IIB")  # nonce, lifetime_ms, flags
+_DATA_HEAD = struct.Struct("!IB")  # freshness_ms, flags
+_SEGMENTS = struct.Struct("!II")  # segment, final_segment
+_SIG_HEAD = struct.Struct("!BH")  # scheme, sig_len
 
 
 class WireFormatError(ValueError):
@@ -80,16 +92,17 @@ Packet = InterestPacket | DataPacket
 
 
 def _encode_name(name: Name) -> bytes:
-    parts = [struct.pack("!H", len(name))]
-    for comp in name:
+    comps = name.components
+    parts = [_U16.pack(len(comps))]
+    for comp in comps:
         raw = comp.encode()
-        parts.append(struct.pack("!H", len(raw)))
+        parts.append(_U16.pack(len(raw)))
         parts.append(raw)
     return b"".join(parts)
 
 
 def _encode_sig(key_locator: Name, scheme: int, sig: bytes) -> bytes:
-    return _encode_name(key_locator) + struct.pack("!BH", scheme, len(sig)) + sig
+    return _encode_name(key_locator) + _SIG_HEAD.pack(scheme, len(sig)) + sig
 
 
 def encode_packet(pkt: Packet) -> bytes:
@@ -98,9 +111,9 @@ def encode_packet(pkt: Packet) -> bytes:
             _FLAG_EXTRA if pkt.app_params is not None else 0
         )
         out = [bytes([TYPE_INTEREST]), _encode_name(pkt.name)]
-        out.append(struct.pack("!IIB", pkt.nonce & 0xFFFFFFFF, pkt.lifetime_ms, flags))
+        out.append(_INTEREST_HEAD.pack(pkt.nonce & 0xFFFFFFFF, pkt.lifetime_ms, flags))
         if pkt.app_params is not None:
-            out.append(struct.pack("!I", len(pkt.app_params)))
+            out.append(_U32.pack(len(pkt.app_params)))
             out.append(pkt.app_params)
         if pkt.signature is not None:
             out.append(_encode_sig(pkt.key_locator or Name(), pkt.sig_scheme, pkt.signature))
@@ -110,82 +123,105 @@ def encode_packet(pkt: Packet) -> bytes:
             _FLAG_EXTRA if pkt.segment is not None else 0
         )
         out = [bytes([TYPE_DATA]), _encode_name(pkt.name)]
-        out.append(struct.pack("!IB", pkt.freshness_ms, flags))
+        out.append(_DATA_HEAD.pack(pkt.freshness_ms, flags))
         if pkt.segment is not None:
-            out.append(struct.pack("!II", pkt.segment, pkt.final_segment or 0))
+            out.append(_SEGMENTS.pack(pkt.segment, pkt.final_segment or 0))
         if pkt.signature is not None:
             out.append(_encode_sig(pkt.key_locator or Name(), pkt.sig_scheme, pkt.signature))
-        out.append(struct.pack("!I", len(pkt.payload)))
+        out.append(_U32.pack(len(pkt.payload)))
         out.append(pkt.payload)
         return b"".join(out)
     raise TypeError(f"not a packet: {pkt!r}")
 
 
-class _Reader:
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+def _decode_name(buf: bytes, pos: int, end: int) -> tuple[Name, int]:
+    """The name at `pos` and the offset after it; each component checked once."""
+    if pos + 2 > end:
+        raise WireFormatError("truncated packet")
+    (count,) = _U16.unpack_from(buf, pos)
+    pos += 2
+    comps = []
+    for _ in range(count):
+        if pos + 2 > end:
             raise WireFormatError("truncated packet")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        (length,) = _U16.unpack_from(buf, pos)
+        start = pos + 2
+        pos = start + length
+        if pos > end:
+            raise WireFormatError("truncated packet")
+        try:
+            comp = buf[start:pos].decode()
+        except UnicodeDecodeError as exc:
+            raise WireFormatError(str(exc)) from None
+        if not comp or "/" in comp:
+            raise WireFormatError(f"invalid name component: {comp!r}")
+        comps.append(comp)
+    return Name._of(tuple(comps)), pos
 
-    def u8(self) -> int:
-        return self.take(1)[0]
 
-    def u16(self) -> int:
-        return struct.unpack("!H", self.take(2))[0]
+def _blob(buf: bytes, pos: int, end: int, head: struct.Struct) -> tuple[bytes, int]:
+    """The bytes behind the length field `head` at `pos`, and the offset after them."""
+    start = pos + head.size
+    if start > end:
+        raise WireFormatError("truncated packet")
+    stop = start + head.unpack_from(buf, pos)[0]
+    if stop > end:
+        raise WireFormatError("truncated packet")
+    return buf[start:stop], stop
 
-    def u32(self) -> int:
-        return struct.unpack("!I", self.take(4))[0]
 
-    def name(self) -> Name:
-        count = self.u16()
-        comps = []
-        for _ in range(count):
-            comps.append(self.take(self.u16()).decode())
-        return Name(comps)
+def _decode_sig(buf: bytes, pos: int, end: int) -> tuple[Name | None, int, bytes, int]:
+    """(key locator, scheme, signature, offset after them)."""
+    kl, pos = _decode_name(buf, pos, end)
+    if pos >= end:
+        raise WireFormatError("truncated packet")
+    sig, stop = _blob(buf, pos + 1, end, _U16)
+    return kl or None, buf[pos], sig, stop
+
+
+def _decode_at(buf: bytes, pos: int, end: int) -> Packet:
+    """The packet that fills buf[pos:end] exactly, decoded in place."""
+    if pos >= end:
+        raise WireFormatError("truncated packet")
+    ptype = buf[pos]
+    kl, scheme, sig = None, 0, None
+    if ptype == TYPE_INTEREST:
+        name, pos = _decode_name(buf, pos + 1, end)
+        if pos + _INTEREST_HEAD.size > end:
+            raise WireFormatError("truncated packet")
+        nonce, lifetime, flags = _INTEREST_HEAD.unpack_from(buf, pos)
+        pos += _INTEREST_HEAD.size
+        params = None
+        if flags & _FLAG_EXTRA:
+            params, pos = _blob(buf, pos, end, _U32)
+        if flags & _FLAG_SIGNED:
+            kl, scheme, sig, pos = _decode_sig(buf, pos, end)
+        pkt: Packet = InterestPacket(name, nonce, lifetime, params, kl, scheme, sig)
+    elif ptype == TYPE_DATA:
+        name, pos = _decode_name(buf, pos + 1, end)
+        if pos + _DATA_HEAD.size > end:
+            raise WireFormatError("truncated packet")
+        freshness, flags = _DATA_HEAD.unpack_from(buf, pos)
+        pos += _DATA_HEAD.size
+        segment = final = None
+        if flags & _FLAG_EXTRA:
+            if pos + _SEGMENTS.size > end:
+                raise WireFormatError("truncated packet")
+            segment, final = _SEGMENTS.unpack_from(buf, pos)
+            pos += _SEGMENTS.size
+        if flags & _FLAG_SIGNED:
+            kl, scheme, sig, pos = _decode_sig(buf, pos, end)
+        payload, pos = _blob(buf, pos, end, _U32)
+        pkt = DataPacket(name, payload, freshness, kl, scheme, sig, segment, final)
+    else:
+        raise WireFormatError(f"unknown packet type 0x{ptype:02x}")
+    if pos != end:
+        raise WireFormatError("trailing bytes after packet")
+    return pkt
 
 
 def decode_packet(raw: bytes) -> Packet:
-    r = _Reader(raw)
-    ptype = r.u8()
-    try:
-        if ptype == TYPE_INTEREST:
-            name = r.name()
-            nonce, lifetime, flags = r.u32(), r.u32(), r.u8()
-            params = r.take(r.u32()) if flags & _FLAG_EXTRA else None
-            kl, scheme, sig = None, 0, None
-            if flags & _FLAG_SIGNED:
-                kl = r.name() or None
-                scheme = r.u8()
-                sig = r.take(r.u16())
-            pkt: Packet = InterestPacket(name, nonce, lifetime, params, kl, scheme, sig)
-        elif ptype == TYPE_DATA:
-            name = r.name()
-            freshness, flags = r.u32(), r.u8()
-            segment = final = None
-            if flags & _FLAG_EXTRA:
-                segment, final = r.u32(), r.u32()
-            kl, scheme, sig = None, 0, None
-            if flags & _FLAG_SIGNED:
-                kl = r.name() or None
-                scheme = r.u8()
-                sig = r.take(r.u16())
-            payload = r.take(r.u32())
-            pkt = DataPacket(name, payload, freshness, kl, scheme, sig, segment, final)
-        else:
-            raise WireFormatError(f"unknown packet type 0x{ptype:02x}")
-    except ValueError as exc:
-        raise WireFormatError(str(exc)) from None
-    if r.pos != len(raw):
-        raise WireFormatError("trailing bytes after packet")
-    return pkt
+    return _decode_at(raw, 0, len(raw))
 
 
 def encode_packet_stream(packets: Iterable[Packet]) -> bytes:
@@ -193,23 +229,23 @@ def encode_packet_stream(packets: Iterable[Packet]) -> bytes:
     out = []
     for pkt in packets:
         raw = encode_packet(pkt)
-        out.append(struct.pack("!I", len(raw)))
+        out.append(_U32.pack(len(raw)))
         out.append(raw)
     return b"".join(out)
 
 
 def decode_packet_stream(raw: bytes) -> list[Packet]:
+    """The packets of a stream, each decoded in place."""
     out = []
-    pos = 0
-    while pos < len(raw):
-        if pos + 4 > len(raw):
+    pos, size = 0, len(raw)
+    while pos < size:
+        if pos + 4 > size:
             raise WireFormatError("truncated stream header")
-        (length,) = struct.unpack_from("!I", raw, pos)
-        pos += 4
-        if pos + length > len(raw):
+        start = pos + 4
+        pos = start + _U32.unpack_from(raw, pos)[0]
+        if pos > size:
             raise WireFormatError("truncated stream item")
-        out.append(decode_packet(raw[pos : pos + length]))
-        pos += length
+        out.append(_decode_at(raw, start, pos))
     return out
 
 
@@ -219,16 +255,16 @@ def decode_packet_stream(raw: bytes) -> list[Packet]:
 def interest_signing_bytes(pkt: InterestPacket) -> bytes:
     kl = _encode_name(pkt.key_locator or Name())
     params = pkt.app_params or b""
-    return b"I" + _encode_name(pkt.name) + struct.pack("!I", len(params)) + params + kl
+    return b"I" + _encode_name(pkt.name) + _U32.pack(len(params)) + params + kl
 
 
 def data_signing_bytes(pkt: DataPacket) -> bytes:
     kl = _encode_name(pkt.key_locator or Name())
-    seg = struct.pack("!II", pkt.segment or 0, pkt.final_segment or 0)
+    seg = _SEGMENTS.pack(pkt.segment or 0, pkt.final_segment or 0)
     return (
         b"D"
         + _encode_name(pkt.name)
-        + struct.pack("!I", pkt.freshness_ms)
+        + _U32.pack(pkt.freshness_ms)
         + seg
         + kl
         + pkt.payload

@@ -141,7 +141,7 @@ def _split_tile(name: Name, mark: str) -> tuple[TileId, tuple[str, ...]]:
     except ValueError:
         raise NameSchemeError(f"no tile prefix in {name}") from None
     try:
-        tile = parse_tile_prefix(Name(comps[: gps + 1]))
+        tile = parse_tile_prefix(name.prefix(gps + 1))
     except GridError as exc:
         raise NameSchemeError(str(exc)) from None
     rest = comps[gps + 1 :]
@@ -184,7 +184,7 @@ def parse_object_batch(name: Name, params: bytes | None) -> ObjectBatchInfo:
     if len(c) != 7 or c[3] != DATA_MARK:
         raise NameSchemeError(f"bad object batch name: {name}")
     try:
-        tile = parse_tile_prefix(Name(c[:3] + (GPS_ID,)))
+        tile = parse_tile_prefix(name.prefix(3) / GPS_ID)
     except GridError as exc:
         raise NameSchemeError(str(exc)) from None
     if params is None or sha256(params).hexdigest() != c[6]:

@@ -25,6 +25,15 @@ et al. ("Schematizing Trust in Named Data Networking", ICN 2015):
   not verify one by one;
 - a user's signature on an Interest vouches for the request; engines apply
   :func:`check_access` to its signer.
+
+How often each signature is checked: engines and the Bloom-filter server
+verify every packet they receive. A front-end verifies each Ed25519 Data
+signature once: its :class:`VerifiedMemo` (at most VERIFIED_MEMO_SIZE
+entries, least recently used out first) holds the (key, signed bytes,
+signature) triples that verified. A hit skips only the signature check;
+the certificate is still resolved, its chain and validity window checked,
+and the owner and tenant tests run. A failed check is never stored, so a
+forged copy costs a full verification every time; HMAC is never stored.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import hmac
 import os
 import struct
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -292,15 +302,69 @@ def data_signer(identity: Identity) -> Callable[[DataPacket], DataPacket]:
     return lambda pkt: sign_data(identity, pkt)
 
 
-def verify_packet(pkt: InterestPacket | DataPacket, cert: Certificate) -> bool:
-    """Verify a packet signature against one certificate (no chain walk)."""
+def verify_packet(
+    pkt: InterestPacket | DataPacket, cert: Certificate, memo: VerifiedMemo | None = None
+) -> bool:
+    """Verify a packet signature against one certificate (no chain walk).
+
+    With a memo, a signature it has already seen verify is not verified again.
+    """
     if pkt.signature is None or pkt.sig_scheme != cert.scheme:
         return False
     if isinstance(pkt, InterestPacket):
         body = interest_signing_bytes(pkt)
     else:
         body = data_signing_bytes(pkt)
+    if memo is not None:
+        return memo.verify(cert.scheme, cert.public_key, body, pkt.signature)
     return verify_bytes(cert.scheme, cert.public_key, body, pkt.signature)
+
+
+# --- memo of verified signatures --------------------------------------------
+
+VERIFIED_MEMO_SIZE = 4096
+_MEMO_HEAD = struct.Struct("!BHHI")  # scheme, key, signature and data lengths
+
+
+class VerifiedMemo:
+    """The Ed25519 signatures one party has already verified, least recent out first.
+
+    An entry is sha256 over the scheme, the public key, the signature and the
+    signed bytes, each length-prefixed, so no two triples share an entry. Only
+    a successful Ed25519 verification is stored: a failure is checked again
+    every time, and HMAC is never stored, because its check costs about what
+    the digest does. Holds at most VERIFIED_MEMO_SIZE entries; safe for
+    concurrent callers. `hits` and `misses` count lookups of Ed25519 triples.
+    """
+
+    def __init__(self):
+        self._verified: OrderedDict[bytes, None] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._verified)
+
+    def verify(self, scheme: int, public: bytes, data: bytes, sig: bytes) -> bool:
+        if scheme != SCHEME_ED25519:
+            return verify_bytes(scheme, public, data, sig)
+        key = sha256(
+            _MEMO_HEAD.pack(scheme, len(public), len(sig), len(data)) + public + sig + data
+        ).digest()
+        with self._lock:
+            if key in self._verified:
+                self._verified.move_to_end(key)
+                self.hits += 1
+                return True
+            self.misses += 1
+        if not verify_bytes(scheme, public, data, sig):
+            return False
+        with self._lock:
+            self._verified[key] = None
+            if len(self._verified) > VERIFIED_MEMO_SIZE:
+                self._verified.popitem(last=False)
+        return True
 
 
 # --- chain validation -------------------------------------------------------
@@ -398,21 +462,29 @@ class Validator:
                 break
         return current.info.did
 
-    def verify_interest(self, pkt: InterestPacket) -> Certificate:
+    def _signer_certificate(self, pkt: InterestPacket | DataPacket) -> Certificate:
+        """The certificate the packet names, its chain checked now; not the signature."""
         if pkt.signature is None or pkt.key_locator is None:
-            raise ValidationError(f"unsigned interest {pkt.name}")
+            kind = "interest" if isinstance(pkt, InterestPacket) else "data"
+            raise ValidationError(f"unsigned {kind} {pkt.name}")
         cert = self.resolve(pkt.key_locator)
         self.ensure_chain(cert)
+        return cert
+
+    def verify_interest(self, pkt: InterestPacket) -> Certificate:
+        cert = self._signer_certificate(pkt)
         if not verify_packet(pkt, cert):
             raise ValidationError(f"bad signature on interest {pkt.name}")
         return cert
 
-    def verify_data(self, pkt: DataPacket) -> Certificate:
-        if pkt.signature is None or pkt.key_locator is None:
-            raise ValidationError(f"unsigned data {pkt.name}")
-        cert = self.resolve(pkt.key_locator)
-        self.ensure_chain(cert)
-        if not verify_packet(pkt, cert):
+    def verify_data(self, pkt: DataPacket, memo: VerifiedMemo | None = None) -> Certificate:
+        """The signer's certificate; raises unless chain and signature hold.
+
+        With a memo, only the signature check may be skipped: the certificate,
+        its chain and its validity window are checked on every call.
+        """
+        cert = self._signer_certificate(pkt)
+        if not verify_packet(pkt, cert, memo):
             raise ValidationError(f"bad signature on data {pkt.name}")
         return cert
 

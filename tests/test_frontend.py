@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 import geoshard.frontend as frontend_mod
+import geoshard.trust as trust_mod
 from geoshard.cluster import Cluster, ClusterSpec, UserSpec, parse_cluster_config
 from geoshard.engine import DELETE_OK, STATUS_OK
 from geoshard.frontend import (
@@ -29,7 +30,14 @@ from geoshard.objects import (
     master_tile,
 )
 from geoshard.tessellate import temporal_decompose
-from geoshard.trust import SCHEME_HMAC, data_signer, sign_interest
+from geoshard.trust import (
+    SCHEME_ED25519,
+    SCHEME_HMAC,
+    ValidationError,
+    data_signer,
+    sign_data,
+    sign_interest,
+)
 
 
 def make_spec(**kw):
@@ -371,10 +379,11 @@ def test_parallel_fanout_bounded(cluster):
 
     fe.consumer.get = counting_get
     try:
-        q = RangeQuery(BBox.of(12.0, 41.0, 12.9, 41.9), "Foo", "poi", k=40, parallelism=3)
-        fe.range_query(q)
+        q = RangeQuery(BBox.of(12.0, 41.0, 12.35, 41.35), "Foo", "poi", k=40, parallelism=3)
+        stats = fe.range_query(q).stats
     finally:
         fe.consumer.get = real_get
+    assert stats.subqueries > 3
     assert 0 < in_flight["max"] <= 3
 
 
@@ -556,6 +565,44 @@ def test_cluster_close_shuts_every_frontend_pool():
     for _, fe in fes:
         with pytest.raises(RuntimeError):
             fe._pool.submit(int)
+
+
+def test_repeated_ed25519_query_verifies_each_signature_once(monkeypatch):
+    cluster = Cluster(make_spec(scheme=SCHEME_ED25519))
+    try:
+        fe = cluster.frontend_as("Foo", "poi", "u1")
+        for obj in (
+            feature_dict("once-point", (12.612, 41.612)),
+            feature_dict("once-multi", [(12.623, 41.634), (12.671, 41.715)], multi=True),
+        ):
+            assert fe.insert(obj).ok
+        calls = []
+        real_verify = trust_mod.verify_bytes
+
+        def counting_verify(*args):
+            calls.append(args[2])
+            return real_verify(*args)
+
+        monkeypatch.setattr(trust_mod, "verify_bytes", counting_verify)
+        q = RangeQuery(BBox.of(12.6, 41.6, 12.75, 41.75), "Foo", "poi", k=1)  # masters fetched
+        first = fe.range_query(q)
+        first_calls, first_hits = len(calls), fe.verified.hits
+        second = fe.range_query(q)
+        assert second.oids == {"once-point", "once-multi"}
+        assert [f.raw for f in second.objects] == [f.raw for f in first.objects]
+        assert len(calls) - first_calls < first_calls
+        assert fe.verified.hits > first_hits
+        # a hit skips only the signature check: the owner check still runs
+        u2 = cluster.user_ids[("Foo", "poi", "u2")]
+        tile = TileId.at(2, 12.61, 41.61)
+        stolen = sign_data(u2, DataPacket(object_name(tile, "Foo", "poi", "u1", "once-point")))
+        hits = fe.verified.hits
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                fe._check_provenance(stolen)
+        assert fe.verified.hits == hits + 1
+    finally:
+        cluster.close()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoshard.icn import (
     Consumer,
@@ -30,6 +32,7 @@ from geoshard.icn import (
     tcp_connect,
 )
 from geoshard.icn.faces import MAX_FRAME
+from geoshard.icn.packets import TYPE_DATA, decode_packet_stream, encode_packet_stream
 
 
 def test_name_parse_render_roundtrip():
@@ -98,6 +101,113 @@ def test_codec_rejects_garbage():
         decode_packet(b"\x99\x00")
     with pytest.raises(WireFormatError):
         decode_packet(encode_packet(InterestPacket(Name(["a"])))[:-2])
+
+
+_components = st.text(min_size=1, max_size=12).filter(lambda c: "/" not in c)
+_names = st.lists(_components, max_size=5).map(Name)
+_u32 = st.integers(0, 2**32 - 1)
+_signatures = st.one_of(
+    st.none(),
+    st.tuples(_names.filter(len), st.integers(0, 255), st.binary(max_size=80)),
+)
+
+
+@st.composite
+def _interests(draw):
+    sig = draw(_signatures)
+    kl, scheme, signature = sig if sig else (None, 0, None)
+    return InterestPacket(
+        draw(_names), draw(_u32), draw(_u32), draw(st.none() | st.binary(max_size=60)),
+        kl, scheme, signature,
+    )
+
+
+@st.composite
+def _data(draw):
+    sig = draw(_signatures)
+    kl, scheme, signature = sig if sig else (None, 0, None)
+    seg = draw(st.none() | st.tuples(_u32, _u32))
+    segment_index, final = seg if seg else (None, None)
+    return DataPacket(
+        draw(_names), draw(st.binary(max_size=200)), draw(_u32), kl, scheme, signature,
+        segment_index, final,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_interests(), _data()))
+def test_codec_roundtrip_property(pkt):
+    raw = encode_packet(pkt)
+    assert decode_packet(raw) == pkt
+    assert decode_packet_stream(encode_packet_stream([pkt, pkt])) == [pkt, pkt]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_interests(), _data()))
+def test_codec_rejects_every_proper_prefix_and_trailing_bytes(pkt):
+    raw = encode_packet(pkt)
+    for cut in range(len(raw)):
+        with pytest.raises(WireFormatError):
+            decode_packet(raw[:cut])
+    with pytest.raises(WireFormatError):
+        decode_packet(raw + b"\x00")
+    stream = encode_packet_stream([pkt])
+    with pytest.raises(WireFormatError):
+        decode_packet_stream(stream + b"\x00\x00")  # a partial item header
+    with pytest.raises(WireFormatError):
+        decode_packet_stream(stream[:-1])
+
+
+def _data_wire(*components: bytes) -> bytes:
+    """An unsigned, unsegmented, empty Data packet with raw name components."""
+    name = struct.pack("!H", len(components)) + b"".join(
+        struct.pack("!H", len(c)) + c for c in components
+    )
+    return bytes([TYPE_DATA]) + name + struct.pack("!IBI", 0, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [b"", b"a/b", b"/", b"\xff", b"\xc3", b"\xed\xa0\x80"])
+def test_codec_rejects_invalid_name_components(bad):
+    assert decode_packet(_data_wire(b"ok", "é".encode())).name == Name(["ok", "é"])
+    with pytest.raises(WireFormatError):
+        decode_packet(_data_wire(b"ok", bad))
+    with pytest.raises(WireFormatError):
+        decode_packet_stream(struct.pack("!I", len(_data_wire(bad))) + _data_wire(bad))
+
+
+def test_name_refuses_bad_components_wherever_they_enter():
+    base = Name(["a", "b"])
+    for bad in ("", "x/y", "/"):
+        with pytest.raises(ValueError):
+            Name(["a", bad])
+        with pytest.raises(ValueError):
+            base / bad
+        with pytest.raises(ValueError):
+            base.append("ok", bad)
+    for bad in (3, None, b"bytes"):
+        with pytest.raises(TypeError):
+            Name(["a", bad])
+        with pytest.raises(TypeError):
+            base / bad
+        with pytest.raises(TypeError):
+            base.append(bad)
+
+
+def test_name_slices_prefixes_and_sums_equal_fresh_names():
+    n = Name(["a", "b", "c"])
+    for derived, fresh in [
+        (n[:2], Name(["a", "b"])),
+        (n[1:], Name(["b", "c"])),
+        (n.prefix(1), Name(["a"])),
+        (n.prefix(0), Name()),
+        (n[:1] + n[2:], Name(["a", "c"])),
+        (n / "d", Name(["a", "b", "c", "d"])),
+        (n.append("d", "e"), Name(["a", "b", "c", "d", "e"])),
+    ]:
+        assert derived == fresh
+        assert hash(derived) == hash(fresh)
+        assert derived.to_uri() == fresh.to_uri()
+        assert isinstance(derived, Name)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +442,56 @@ def test_get_with_induced_single_loss_retransmits():
     got = consumer.get(Name(["content", "blob"]), lifetime_ms=150, retries=3)
     assert got == blob
     assert dropped["done"]
+
+
+def test_multi_segment_get_starts_no_threads(monkeypatch):
+    _, _, producer, consumer = _simple_net()
+    blob = bytes(range(250))
+    producer.serve(Name(["content"]), lambda name, i: ProducerReply(blob, max_payload=100))
+    starts = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        return real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    assert consumer.get(Name(["content", "three"]), lifetime_ms=500) == blob  # 3 segments
+    assert starts == []
+
+
+def test_multi_segment_get_retransmits_a_segment_lost_between_routers(monkeypatch):
+    fabric = Fabric()
+    near, far = fabric.forwarder("near"), fabric.forwarder("far")
+    dropped = []
+
+    def drop_segment_2_once(pkt):
+        if isinstance(pkt, DataPacket) and pkt.segment == 2 and not dropped:
+            dropped.append(pkt.name)
+            return True
+        return False
+
+    far_fid, near_fid = fabric.link(far, near, loss_to_b=drop_segment_2_once)
+    prod_face, prod_fid = fabric.attach(far, "producer")
+    far.advertise(Name(["content"]), prod_fid)
+    near.advertise(Name(["content"]), near_fid)
+    cons_face, _ = fabric.attach(near, "consumer")
+    consumer = Consumer(cons_face)
+    blob = bytes(random.Random(6).getrandbits(8) for _ in range(500))
+    producer = Producer(prod_face)
+    producer.serve(Name(["content"]), lambda name, i: ProducerReply(blob, max_payload=100))
+    retransmitted = []
+    real_renonce = InterestPacket.with_new_nonce
+
+    def counting_renonce(interest):
+        retransmitted.append(interest.name)
+        return real_renonce(interest)
+
+    monkeypatch.setattr(InterestPacket, "with_new_nonce", counting_renonce)
+    got = consumer.get(Name(["content", "blob"]), lifetime_ms=100, retries=2, window=3)
+    assert got == blob  # 5 segments
+    assert len(dropped) == 1
+    assert retransmitted == dropped
 
 
 def test_sibling_prefix_routing_disjoint():

@@ -1,4 +1,7 @@
 import hmac
+import sys
+import threading
+from dataclasses import replace
 from hashlib import sha256
 
 import pytest
@@ -9,13 +12,16 @@ from geoshard.icn.clock import ManualClock
 from geoshard.icn.packets import DataPacket
 from geoshard.geogrid import TileId
 from geoshard.naming import delete_name, key_locator_name, object_name, tile_query_name
+import geoshard.trust as trust_mod
 from geoshard.trust import (
+    VERIFIED_MEMO_SIZE,
     AccessOp,
     SCHEME_ED25519,
     SCHEME_HMAC,
     UnknownKeyLocator,
     ValidationError,
     Validator,
+    VerifiedMemo,
     check_access,
     decode_certificate,
     encode_certificate,
@@ -165,6 +171,128 @@ def test_certificate_repo_fetch_over_fabric(pki):
     assert v.validate_chain(user1.cert)  # tenant fetched on demand
     with pytest.raises(UnknownKeyLocator):
         v.resolve(key_locator_name("Nope", "nobody", "r"))
+
+
+# ---------------------------------------------------------------------------
+# memo of verified signatures
+
+
+def _count_verifies(monkeypatch) -> list[bytes]:
+    """Signed inputs of the real signature checks made from now on."""
+    calls = []
+    real = trust_mod.verify_bytes
+
+    def counting(scheme, public, data, sig):
+        calls.append(data)
+        return real(scheme, public, data, sig)
+
+    monkeypatch.setattr(trust_mod, "verify_bytes", counting)
+    return calls
+
+
+def test_memo_skips_only_the_repeat_signature_check(pki, monkeypatch):
+    _, _, user1, _ = pki
+    v, memo = _validator(pki), VerifiedMemo()
+    pkt = sign_data(user1, DataPacket(Name(["memo", "a"]), b"payload", freshness_ms=10))
+    assert v.verify_data(pkt, memo) == user1.cert  # chain checked and cached here
+    calls = _count_verifies(monkeypatch)
+    assert v.verify_data(pkt, memo) == user1.cert
+    assert calls == []
+    assert (memo.hits, memo.misses, len(memo)) == (1, 1, 1)
+    # the same name and signature over another payload: refused, at full cost, every time
+    forged = replace(pkt, payload=b"paYload")
+    for attempt in (1, 2):
+        with pytest.raises(ValidationError):
+            v.verify_data(forged, memo)
+        assert len(calls) == attempt
+    assert len(memo) == 1
+    # without a memo every call verifies
+    v.verify_data(pkt)
+    assert len(calls) == 3
+
+
+def test_memoised_packet_refused_once_its_signer_expires():
+    clock = ManualClock(50.0)
+    anchor = make_anchor(now=0, validity_s=1000)
+    tenant = issue(anchor, "Foo", "Foo", "rw", now=0, validity_s=1000)
+    user = issue(tenant, "Foo.poi", "u1", "rw", now=0, validity_s=100)
+    v = Validator(anchor.cert, clock=clock)
+    for ident in (tenant, user):
+        v.add(ident.cert)
+    memo = VerifiedMemo()
+    pkt = sign_data(user, DataPacket(Name(["memo", "b"]), b"v"))
+    v.verify_data(pkt, memo)
+    v.verify_data(pkt, memo)
+    assert memo.hits == 1
+    clock.advance(100)  # past the user's not_after
+    with pytest.raises(ValidationError):
+        v.verify_data(pkt, memo)
+
+
+def test_memo_is_bounded_and_evicts_the_least_recent(pki, monkeypatch):
+    _, _, user1, _ = pki
+    v, memo = _validator(pki), VerifiedMemo()
+    packets = [
+        sign_data(user1, DataPacket(Name(["memo", "c", str(i)]), b"v"))
+        for i in range(VERIFIED_MEMO_SIZE + 1)
+    ]
+    for pkt in packets:
+        v.verify_data(pkt, memo)
+    assert len(memo) == VERIFIED_MEMO_SIZE
+    calls = _count_verifies(monkeypatch)
+    v.verify_data(packets[-1], memo)  # the newest is still held
+    assert calls == []
+    v.verify_data(packets[0], memo)  # the oldest was evicted
+    assert len(calls) == 1
+    assert len(memo) == VERIFIED_MEMO_SIZE
+
+
+def test_memo_never_holds_hmac(monkeypatch):
+    anchor = make_anchor(scheme=SCHEME_HMAC)
+    tenant = issue(anchor, "Foo", "Foo", "rw")
+    user = issue(tenant, "Foo.poi", "u1", "rw")
+    v = Validator(anchor.cert, clock=ManualClock(100.0))
+    for ident in (tenant, user):
+        v.add(ident.cert)
+    memo = VerifiedMemo()
+    pkt = sign_data(user, DataPacket(Name(["memo", "d"]), b"v"))
+    v.verify_data(pkt, memo)
+    calls = _count_verifies(monkeypatch)
+    v.verify_data(pkt, memo)
+    assert len(calls) == 1
+    assert (len(memo), memo.hits, memo.misses) == (0, 0, 0)
+
+
+def test_memo_counts_every_lookup_of_concurrent_callers(pki):
+    _, _, user1, _ = pki
+    v, memo = _validator(pki), VerifiedMemo()
+    packets = [
+        sign_data(user1, DataPacket(Name(["memo", "e", str(i)]), b"v")) for i in range(20)
+    ]
+    errors = []
+
+    def verify_all():
+        try:
+            for pkt in packets:
+                v.verify_data(pkt, memo)
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=verify_all) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert memo.hits + memo.misses == 80
+    assert memo.misses >= 20
+    assert len(memo) == 20
 
 
 # ---------------------------------------------------------------------------
