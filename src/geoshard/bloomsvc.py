@@ -5,7 +5,9 @@ Engines publish 0->1 / 1->0 bucket transitions as signed Interests under
 it, so a bit only clears once every engine that set it has reported its
 1->0 transition (plain OR messages would clear too eagerly with multiple
 engines). Membership requests arrive under /OGB/BF/member with the item
-batch in the Interest application parameters, 1024 items at most.
+batch in the Interest application parameters, 1024 items at most. A
+membership reply is used only when the server's `sys/bf-server` certificate
+signed it and it carries one bit per item asked.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ from geoshard.bloom import (
     bucket_indices,
     decode_bf_update,
     decode_membership_request,
+    decode_membership_response,
+    encode_bf_update,
+    encode_membership_request,
     encode_membership_response,
 )
 from geoshard.icn.names import Name
-from geoshard.icn.packets import InterestPacket
+from geoshard.icn.packets import DataPacket, InterestPacket
 from geoshard.icn.producer import Producer, ProducerReply
 from geoshard.naming import BF_MEMBER_PREFIX, BF_UPDATE_PREFIX, SYSTEM_DID
 from geoshard.trust import Identity, ValidationError, Validator, data_signer
@@ -30,6 +35,7 @@ from geoshard.trust import Identity, ValidationError, Validator, data_signer
 log = logging.getLogger(__name__)
 
 MAX_BATCH = 1024
+SERVER_UID = "bf-server"  # the filter server's certificate is sys/bf-server
 
 
 class BloomFilterServer:
@@ -120,18 +126,21 @@ class BloomFilterServer:
 
 
 class BloomClient:
-    """Engine/frontend side helpers for talking to the server over the fabric."""
+    """Engine/frontend side helpers for talking to the server over the fabric.
 
-    def __init__(self, consumer, signer: Callable, lifetime_ms: int = 2000):
+    `validator` checks membership replies: signature, certificate chain and
+    a signer that is the filter server.
+    """
+
+    def __init__(self, consumer, signer: Callable, validator: Validator, lifetime_ms: int = 2000):
         self.consumer = consumer
         self.sign = signer
+        self.validator = validator
         self.lifetime_ms = lifetime_ms
         self._seq = 0
         self._lock = threading.Lock()
 
     def publish(self, engine_id: str, direction: int, buckets: list[int]) -> None:
-        from geoshard.bloom import encode_bf_update
-
         with self._lock:
             self._seq += 1
             seq = self._seq
@@ -144,10 +153,14 @@ class BloomClient:
             app_params=encode_bf_update(direction, buckets),
         )
 
-    def membership(self, items: list[tuple[str, str, str]]) -> list[bool]:
-        from geoshard.bloom import decode_membership_response, encode_membership_request
-        from geoshard.icn.packets import reassemble
+    def _verify_reply(self, pkt: DataPacket) -> None:
+        info = self.validator.verify_data(pkt).info
+        if info.did != SYSTEM_DID or info.uid != SERVER_UID:
+            raise ValidationError(f"membership reply {pkt.name} not signed by the filter server")
 
+    def membership(self, items: list[tuple[str, str, str]]) -> list[bool]:
+        """One bit per item; raises ValidationError on a reply that is not
+        the server's or whose bit count differs from its item count."""
         bits: list[bool] = []
         with self._lock:
             self._seq += 1
@@ -160,6 +173,12 @@ class BloomClient:
                 lifetime_ms=self.lifetime_ms,
                 retries=1,
                 app_params=encode_membership_request(chunk),
+                validate=self._verify_reply,
             )
-            bits.extend(decode_membership_response(raw))
+            chunk_bits = decode_membership_response(raw)
+            if len(chunk_bits) != len(chunk):
+                raise ValidationError(
+                    f"membership reply {name} has {len(chunk_bits)} bits for {len(chunk)} items"
+                )
+            bits.extend(chunk_bits)
         return bits

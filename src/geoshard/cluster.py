@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from geoshard.bloom import bf_params
-from geoshard.bloomsvc import BloomClient, BloomFilterServer
+from geoshard.bloomsvc import SERVER_UID, BloomClient, BloomFilterServer
 from geoshard.engine import (
     BulkInsertClient,
     BulkInsertServer,
@@ -116,7 +116,7 @@ class Cluster:
         self.engine_ids: dict[str, Identity] = {
             node: self._issue(self.anchor, SYSTEM_DID, node, "rw") for node in spec.engines
         }
-        self.bf_identity = self._issue(self.anchor, SYSTEM_DID, "bf-server", "rw")
+        self.bf_identity = self._issue(self.anchor, SYSTEM_DID, SERVER_UID, "rw")
 
         # --- certificate repo --------------------------------------------------
         repo_face, repo_fid = self.fabric.attach(self.router, "cert-repo")
@@ -208,7 +208,7 @@ class Cluster:
             bf_face, _ = self.fabric.attach(fwd, f"bf-client-{node}")
             fwd.advertise(BF_PREFIX, engine_fid)
             client = BloomClient(
-                Consumer(bf_face), interest_signer(self.engine_ids[node]), lifetime_ms=2000
+                Consumer(bf_face), interest_signer(self.engine_ids[node]), validator
             )
             engine.bf_publish = lambda d, b, c=client, n=node: _publish_quietly(c, n, d, b)
         self._engine_faces[node] = router_fid
@@ -221,7 +221,9 @@ class Cluster:
         bf_client = None
         if spec.bf_enabled:
             bf_face, _ = self.fabric.attach(self.router, f"{fe_name}-bf")
-            bf_client = BloomClient(Consumer(bf_face), interest_signer(self._default_user()))
+            bf_client = BloomClient(
+                Consumer(bf_face), interest_signer(self._default_user()), validator
+            )
         return self._closing(Frontend(
             consumer,
             self._default_user(),

@@ -1,6 +1,6 @@
 """Back-end database engine.
 
-Stores per-tile object rows in three per-level name tables, answers
+Stores object rows grouped by (tile prefix, tenant, collection), answers
 tile-queries with signed tile containers (served from an invalidating
 application-layer cache when possible) and batch fetches of masters with
 one signed container per batch, resolves its own bulk-insert address,
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from geoshard.bloom import CountingBloomFilter, bf_key
-from geoshard.geogrid import LEVELS, TileId, level0
+from geoshard.geogrid import TileId, level0, parse_tile_prefix
 from geoshard.icn.clock import system_clock
 from geoshard.icn.faces import MAX_FRAME, FrameTooLarge, frame, read_frame
 from geoshard.icn.names import Name
@@ -61,15 +61,6 @@ STATUS_DENIED = 2
 STATUS_DUPLICATE = 3
 STATUS_MALFORMED = 4
 STATUS_WRONG_SHARD = 5
-
-STATUS_LABELS = {
-    STATUS_OK: "ok",
-    STATUS_BAD_SIGNATURE: "bad-signature",
-    STATUS_DENIED: "denied",
-    STATUS_DUPLICATE: "duplicate",
-    STATUS_MALFORMED: "malformed",
-    STATUS_WRONG_SHARD: "wrong-shard",
-}
 
 DELETE_OK = b"OK"
 DELETE_NOT_FOUND = b"NOT-FOUND"
@@ -127,8 +118,6 @@ class DatabaseEngine:
         self._sign = data_signer(identity)
         self._state = threading.RLock()
         self.objects: dict[Name, StoredObject] = {}
-        # one name table per grid level: tile prefix -> object names
-        self.tile_tables: list[dict[Name, set[Name]]] = [dict() for _ in LEVELS]
         self._groups: dict[tuple[Name, str, str], set[Name]] = {}
         self._qdata: dict[Name, tuple[Name, list[DataPacket]]] = {}  # query -> (prefix, reply)
         self._qdata_by_prefix: dict[Name, set[Name]] = {}
@@ -249,8 +238,6 @@ class DatabaseEngine:
     # --- address resolution ---------------------------------------------------
 
     def handle_ip_res(self, base: Name, interest: InterestPacket):
-        from geoshard.geogrid import parse_tile_prefix
-
         tile = parse_tile_prefix(base[:-1])
         if not self.owns(tile):
             return None
@@ -324,7 +311,6 @@ class DatabaseEngine:
             return STATUS_DUPLICATE
         self.objects[row.name] = row
         prefix = route_prefix(row.tile)
-        self.tile_tables[row.tile.level].setdefault(prefix, set()).add(row.name)
         group_key = (prefix, row.tid, row.cid)
         group = self._groups.setdefault(group_key, set())
         group.add(row.name)
@@ -352,7 +338,6 @@ class DatabaseEngine:
                 status = DELETE_NOT_FOUND
             else:
                 prefix = route_prefix(row.tile)
-                self.tile_tables[row.tile.level].get(prefix, set()).discard(oname)
                 group_key = (prefix, row.tid, row.cid)
                 group = self._groups.get(group_key)
                 if group is not None:

@@ -1,8 +1,8 @@
 """Front-end library: range queries, insertions, deletions.
 
 A range query runs in two phases: tile-querying (tessellate the box,
-optionally pre-filter void tiles through the Bloom server, fan the
-tile-queries out on the front-end's fan-out pool) and post-filtering.
+optionally pre-filter void tiles through the Bloom server, send the
+tile-queries one after another on the caller's thread) and post-filtering.
 
 Trust boundary: each signature vouches for one fact.
 
@@ -38,9 +38,9 @@ tests each copy of an unresolved identity in this order, cheapest first:
 
 A copy that fails a step is dropped without settling its identity, so
 later copies stay eligible. The masters of the references that pass are
-fetched with one batch Interest per owning engine, in parallel; each takes
-the exact match and then the provenance check. A master that its engine
-does not return fails the query.
+fetched with one batch Interest per owning engine; each takes the exact
+match and then the provenance check. A master that its engine does not
+return fails the query.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ import logging
 import socket
 import socketserver
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -98,7 +96,6 @@ from geoshard.trust import (
 log = logging.getLogger(__name__)
 
 DEFAULT_K = 50
-DEFAULT_PARALLELISM = 8
 ODATA_FRESHNESS_MS = 3_600_000  # freshness of the object packets an insert signs
 
 
@@ -116,12 +113,7 @@ class InsertError(Exception):
 
 @dataclass
 class RangeQuery:
-    """One range query.
-
-    `parallelism` caps the requests this query has in flight at once. The
-    front-end's fan-out pool has DEFAULT_PARALLELISM threads, so a larger
-    value is served at the pool size.
-    """
+    """One range query."""
 
     bbox: BBox
     tid: str
@@ -130,13 +122,12 @@ class RangeQuery:
     interval: tuple[int, int] | None = None
     k: int = DEFAULT_K
     use_bf: bool = False
-    parallelism: int = DEFAULT_PARALLELISM
 
     def __post_init__(self):
         if self.mode not in ("intersect", "include"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.k < 1 or self.parallelism < 1:
-            raise ValueError("k and parallelism must be >= 1")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
 
 
 @dataclass
@@ -226,9 +217,9 @@ def temporal_match(valid_time: tuple[int, int] | None, interval: tuple[int, int]
 class Frontend:
     """One front-end instance; safe for concurrent client calls.
 
-    Its fan-out pool of DEFAULT_PARALLELISM threads serves every call for
-    the front-end's lifetime; `close` shuts it down. `verified` is its memo
-    of verified signatures, with hit and miss counts.
+    Every request runs on the calling thread: a front-end starts no thread.
+    `close` closes its bulk transports. `verified` is its memo of verified
+    signatures, with hit and miss counts.
     """
 
     def __init__(
@@ -256,7 +247,6 @@ class Frontend:
         self._ipres_cache: dict[Name, tuple[str, float]] = {}
         self._transports: dict[str, BulkTransport] = {}
         self._lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(DEFAULT_PARALLELISM, thread_name_prefix="fanout")
         self.verified = VerifiedMemo()
 
     # --- validation helpers --------------------------------------------------
@@ -326,7 +316,7 @@ class Frontend:
 
         names = self.spatio_temporal_subqueries(tiles, periods, q.tid, q.cid)
         stats.subqueries = len(names)
-        payloads = self._fetch_all([(n, None) for n in names], q.parallelism)
+        payloads = self._fetch_all([(n, None) for n in names])
         t3 = self.clock()
         stats.batch_ms = (t3 - t2) * 1000
 
@@ -335,20 +325,16 @@ class Frontend:
         stats.postfilter_ms = (self.clock() - t3) * 1000
         return QueryResult(objects, stats)
 
-    def _fetch_all(self, requests: list[tuple[Name, bytes | None]], parallelism: int) -> list[bytes]:
+    def _fetch_all(self, requests: list[tuple[Name, bytes | None]]) -> list[bytes]:
         """Payloads of (name, application parameters) requests, in order.
 
-        At most `parallelism` lanes run, each taking the next request until
-        none is left: the caller runs one and the pool the rest, so a lane
-        that waits on the network leaves the work to the others. The first
-        failure stops the lanes after their current request and is raised
-        once all have returned.
+        The requests go out one after another; the first failure fails the
+        query.
         """
-
-        def fetch(request: tuple[Name, bytes | None]) -> bytes:
-            name, params = request
+        payloads = []
+        for name, params in requests:
             try:
-                return self.consumer.get(
+                raw = self.consumer.get(
                     name,
                     lifetime_ms=self.lifetime_ms,
                     retries=self.retries,
@@ -360,30 +346,7 @@ class Frontend:
                 raise RangeQueryError(name, "timeout") from None
             except ValidationError as exc:
                 raise RangeQueryError(name, f"validation: {exc}") from None
-
-        todo = deque(enumerate(requests))
-        payloads: list[bytes] = [b""] * len(requests)
-
-        def lane() -> None:
-            while True:
-                try:
-                    index, request = todo.popleft()
-                except IndexError:
-                    return
-                try:
-                    payloads[index] = fetch(request)
-                except BaseException:
-                    todo.clear()
-                    raise
-
-        lanes = min(parallelism, DEFAULT_PARALLELISM, len(requests))
-        futures = [self._pool.submit(lane) for _ in range(lanes - 1)]
-        try:
-            lane()
-        finally:
-            wait(futures)
-        for future in futures:
-            future.result()
+            payloads.append(raw)
         return payloads
 
     def _collect(self, payloads: list[bytes], q: RangeQuery, stats: QueryStats) -> list[Feature]:
@@ -443,7 +406,7 @@ class Frontend:
             batches.setdefault((level0(info.tile), info.tid, info.cid), []).append(master)
         requests = [object_batch(*group, names) for group, names in batches.items()]
         found: dict[ObjectKey, Feature] = {}
-        for raw in self._fetch_all(requests, q.parallelism):
+        for raw in self._fetch_all(requests):
             for pkt in decode_packet_stream(raw):
                 key = missing.pop(pkt.name, None) if isinstance(pkt, DataPacket) else None
                 try:
@@ -537,8 +500,7 @@ class Frontend:
         return DeleteReport(oid, per_tile)
 
     def close(self) -> None:
-        """Shut the fan-out pool down and close the bulk transports; idempotent."""
-        self._pool.shutdown()
+        """Close the bulk transports; idempotent."""
         with self._lock:
             for t in self._transports.values():
                 close = getattr(t, "close", None)
@@ -609,7 +571,6 @@ def _dispatch(frontend: Frontend, req: dict) -> dict:
             interval=tuple(req["interval"]) if req.get("interval") else None,
             k=req.get("k", DEFAULT_K),
             use_bf=req.get("use_bf", False),
-            parallelism=req.get("parallelism", DEFAULT_PARALLELISM),
         )
         result = frontend.range_query(q)
         return {

@@ -15,7 +15,7 @@ from geoshard.bloom import (
     encode_membership_request,
     encode_membership_response,
 )
-from geoshard.bloomsvc import BloomClient, BloomFilterServer, MAX_BATCH
+from geoshard.bloomsvc import MAX_BATCH, SERVER_UID, BloomClient, BloomFilterServer
 from geoshard.icn import Consumer, Fabric, InterestPacket, Name, Producer
 from geoshard.icn.clock import ManualClock
 from geoshard.naming import BF_UPDATE_PREFIX
@@ -76,11 +76,12 @@ def _server_env():
     e1 = issue(anchor, "sys", "e1", "rw")
     e2 = issue(anchor, "sys", "e2", "rw")
     stranger = issue(anchor, "sys", "e99", "rw")
+    server = issue(anchor, "sys", SERVER_UID, "rw")
     v = Validator(anchor.cert, clock=ManualClock(5.0))
-    for ident in (e1, e2, stranger):
+    for ident in (e1, e2, stranger, server):
         v.add(ident.cert)
     m, h = 2048, 5
-    srv = BloomFilterServer(m, h, {"e1", "e2"}, v, identity=e1)
+    srv = BloomFilterServer(m, h, {"e1", "e2"}, v, identity=server)
     return srv, (m, h), (e1, e2, stranger)
 
 
@@ -107,7 +108,7 @@ def test_update_over_fabric_with_auth():
 
     cons_face, _ = fabric.attach(router, "engine-side")
     consumer = Consumer(cons_face)
-    client = BloomClient(consumer, interest_signer(e1), lifetime_ms=300)
+    client = BloomClient(consumer, interest_signer(e1), srv.validator, lifetime_ms=300)
     key = bf_key("ndn:/OGB/12/41", "Foo", "poi")
     buckets = list(set(bucket_indices(key, m, h)))
     client.publish("e1", 0, buckets)
@@ -115,13 +116,13 @@ def test_update_over_fabric_with_auth():
     assert client.membership([("ndn:/OGB/99/41", "Foo", "poi")]) == [False]
 
     # unknown engine id: the update is dropped
-    rogue = BloomClient(consumer, interest_signer(stranger), lifetime_ms=120)
+    rogue = BloomClient(consumer, interest_signer(stranger), srv.validator, lifetime_ms=120)
     with pytest.raises(Exception):
         rogue.publish("e99", 0, buckets)
     assert srv.updates_dropped >= 1
 
     # engine id not matching the signing certificate: dropped too
-    mismatch = BloomClient(consumer, interest_signer(e2), lifetime_ms=120)
+    mismatch = BloomClient(consumer, interest_signer(e2), srv.validator, lifetime_ms=120)
     with pytest.raises(Exception):
         mismatch.publish("e1", 1, buckets)
     assert srv.membership([("ndn:/OGB/12/41", "Foo", "poi")]) == [True]

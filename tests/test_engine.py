@@ -18,7 +18,7 @@ from geoshard.engine import (
     STATUS_OK,
     STATUS_WRONG_SHARD,
 )
-from geoshard.geogrid import TileId, level0, parse_feature
+from geoshard.geogrid import LEVELS, TileId, level0, parse_feature
 from geoshard.icn import Consumer, InterestPacket, Name, Producer, face_pair
 from geoshard.icn.clock import ManualClock
 from geoshard.icn.faces import MAX_FRAME, frame
@@ -205,7 +205,8 @@ def test_level_replication_rows_and_single_master():
         pkt for _, pkt in packets if not decode_object_payload(pkt.payload).is_reference
     ]
     assert len(masters) == 1
-    per_level = [len(t) and sum(len(v) for v in t.values()) for t in env.engine.tile_tables]
+    rows = env.engine.objects.values()
+    per_level = [sum(row.tile.level == level for row in rows) for level in LEVELS]
     assert per_level == [2, 2, 2]
 
 

@@ -11,9 +11,11 @@ import pytest
 
 import geoshard.frontend as frontend_mod
 import geoshard.trust as trust_mod
+from geoshard.bloom import decode_membership_request, encode_membership_response
 from geoshard.cluster import Cluster, ClusterSpec, UserSpec, parse_cluster_config
 from geoshard.engine import DELETE_OK, STATUS_OK
 from geoshard.frontend import (
+    Frontend,
     QueryStats,
     RangeQuery,
     RangeQueryError,
@@ -22,7 +24,8 @@ from geoshard.frontend import (
 from geoshard.geogrid import BBox, FeatureError, TileId, parse_feature
 from geoshard.icn.names import Name
 from geoshard.icn.packets import DataPacket, InterestPacket, encode_packet_stream
-from geoshard.naming import delete_name, object_name
+from geoshard.icn.producer import Producer, ProducerReply
+from geoshard.naming import BF_MEMBER_PREFIX, BF_PREFIX, delete_name, object_name
 from geoshard.objects import (
     build_object_packets,
     decode_object_payload,
@@ -361,7 +364,42 @@ def test_range_query_prunes_void_tiles_with_the_bloom_filter(cluster):
         fe.delete("bf-kept", "Foo", "poi", "u1", {"type": "Point", "coordinates": [12.315, 41.325]})
 
 
-def test_parallel_fanout_bounded(cluster):
+@pytest.mark.parametrize("forgery", ["foreign signer", "short reply"])
+def test_forged_bloom_reply_falls_back_to_every_tile(forgery):
+    # a rogue responder takes the Bloom server's prefix on the router and
+    # answers "void" for every tile: signed by a user, or by the server's
+    # key with fewer bits than items
+    cluster = Cluster(make_spec())
+    try:
+        fe = cluster.frontend_as("Foo", "poi", "u1")
+        obj = feature_dict("bf-rogue", (12.315, 41.325))
+        assert fe.insert(obj).ok
+        box = BBox.of(12.301, 41.301, 12.339, 41.339)
+        full = fe.range_query(RangeQuery(box, "Foo", "poi", use_bf=False))
+        assert full.oids == {"bf-rogue"}
+        assert not fe.range_query(RangeQuery(box, "Foo", "poi", use_bf=True)).stats.bf_fallback
+
+        def rogue(base, interest):
+            n = len(decode_membership_request(interest.app_params))
+            if forgery == "short reply":
+                return ProducerReply(encode_membership_response([False] * (n - 1)),
+                                     sign=data_signer(cluster.bf_identity))
+            u1 = cluster.user_ids[("Foo", "poi", "u1")]
+            return ProducerReply(encode_membership_response([False] * n), sign=data_signer(u1))
+
+        for fid in list(cluster.router.fib[BF_PREFIX]):
+            cluster.router.withdraw(BF_PREFIX, fid)
+        face, fid = cluster.fabric.attach(cluster.router, "rogue-bf")
+        cluster.router.advertise(BF_PREFIX, fid)
+        Producer(face, "rogue-bf").serve(BF_MEMBER_PREFIX, rogue)
+        pruned = fe.range_query(RangeQuery(box, "Foo", "poi", use_bf=True))
+        assert pruned.oids == full.oids
+        assert pruned.stats.bf_fallback
+    finally:
+        cluster.close()
+
+
+def test_cold_frontend_fans_out_on_the_caller_thread(cluster, monkeypatch):
     fe = cluster.frontend_as("Foo", "poi", "u1")
     in_flight = {"now": 0, "max": 0}
     lock = threading.Lock()
@@ -377,14 +415,21 @@ def test_parallel_fanout_bounded(cluster):
             with lock:
                 in_flight["now"] -= 1
 
-    fe.consumer.get = counting_get
-    try:
-        q = RangeQuery(BBox.of(12.0, 41.0, 12.35, 41.35), "Foo", "poi", k=40, parallelism=3)
-        stats = fe.range_query(q).stats
-    finally:
-        fe.consumer.get = real_get
-    assert stats.subqueries > 3
-    assert 0 < in_flight["max"] <= 3
+    starts = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        return real_start(thread)
+
+    monkeypatch.setattr(fe.consumer, "get", counting_get)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    q = RangeQuery(BBox.of(12.0, 41.0, 12.35, 41.35), "Foo", "poi", k=40)
+    stats = fe.range_query(q).stats
+    monkeypatch.undo()
+    assert stats.subqueries == 40
+    assert in_flight["max"] == 1
+    assert starts == []
 
 
 def _count_provenance(monkeypatch, fe) -> list[Name]:
@@ -551,7 +596,15 @@ def test_concurrent_queries_share_the_fanout_pool(cluster):
     assert results == [set(points)] * 18
 
 
-def test_cluster_close_shuts_every_frontend_pool():
+def test_cluster_close_closes_every_frontend(monkeypatch):
+    closed = []
+    real_close = Frontend.close
+
+    def recording_close(fe):
+        closed.append(fe)
+        real_close(fe)
+
+    monkeypatch.setattr(Frontend, "close", recording_close)
     cluster = Cluster(make_spec())
     fes = [
         ("Foo", cluster.frontend()),
@@ -561,10 +614,10 @@ def test_cluster_close_shuts_every_frontend_pool():
     box = BBox.of(12.05, 41.05, 12.35, 41.35)  # 16 sub-queries at k=20
     for tid, fe in fes:
         assert fe.range_query(RangeQuery(box, tid, "poi", k=20)).objects == []
+    assert closed == []
     cluster.close()
-    for _, fe in fes:
-        with pytest.raises(RuntimeError):
-            fe._pool.submit(int)
+    assert len(closed) == len(fes)
+    assert set(closed) == {fe for _, fe in fes}
 
 
 def test_repeated_ed25519_query_verifies_each_signature_once(monkeypatch):
