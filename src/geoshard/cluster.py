@@ -48,6 +48,11 @@ from geoshard.trust import (
 
 log = logging.getLogger(__name__)
 
+# engines are certified as sys/<node>, beside the anchor (sys/admin) and the
+# Bloom server (sys/bf-server); an engine with one of these names would
+# replace a system certificate
+RESERVED_NODES = frozenset({"admin", SERVER_UID})
+
 
 @dataclass
 class UserSpec:
@@ -75,6 +80,11 @@ class ClusterSpec:
     face_port: int | None = None  # packet-level TCP face server on the router
     service_port: int | None = None  # front-end JSON service
     routes: list[tuple[Name, str]] = field(default_factory=list)  # static overrides
+
+    def __post_init__(self):
+        reserved = RESERVED_NODES.intersection(self.engines)
+        if reserved:
+            raise ValueError(f"reserved node names cannot name engines: {sorted(reserved)}")
 
 
 class _InprocBulk:

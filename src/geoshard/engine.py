@@ -1,12 +1,15 @@
 """Back-end database engine.
 
-Stores object rows grouped by (tile prefix, tenant, collection), answers
-tile-queries with signed tile containers (served from an invalidating
-application-layer cache when possible) and batch fetches of masters with
-one signed container per batch, resolves its own bulk-insert address,
-applies the access-control table to every operation, and keeps a
-counting Bloom filter over (tile-prefix, tenant, collection) groups whose
-0->1 / 1->0 bucket transitions are published to the filter server.
+Stores object rows grouped by (tile prefix, tenant, collection) and
+answers batch Interests, one per front-end request and owned level-0 tile:
+a tile batch lists (tile, period) queries and is answered with one signed
+container of their concatenated row streams, each served from an
+invalidating application-layer cache when possible; an object batch
+fetches masters into one signed container. The engine also resolves its
+own bulk-insert address, applies the access-control table to every
+operation, and keeps a counting Bloom filter over (tile-prefix, tenant,
+collection) groups whose 0->1 / 1->0 bucket transitions are published to
+the filter server.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from geoshard.icn.packets import (
     decode_packet,
     encode_packet,
     encode_packet_stream,
-    segment,
 )
 from geoshard.icn.producer import Producer, ProducerReply
 from geoshard.naming import (
@@ -37,6 +39,8 @@ from geoshard.naming import (
     IP_RES_MARK,
     NameSchemeError,
     TILE_MARK,
+    TileQueryInfo,
+    batch_mark,
     parse_delete_name,
     parse_object_batch,
     parse_object_name,
@@ -66,7 +70,7 @@ DELETE_OK = b"OK"
 DELETE_NOT_FOUND = b"NOT-FOUND"
 DELETE_DENIED = b"DENIED"
 
-# tile-query replies an engine caches; past this the oldest is evicted
+# tile-query row streams an engine caches; past this the oldest is evicted
 QDATA_CAPACITY = 512
 
 
@@ -119,7 +123,7 @@ class DatabaseEngine:
         self._state = threading.RLock()
         self.objects: dict[Name, StoredObject] = {}
         self._groups: dict[tuple[Name, str, str], set[Name]] = {}
-        self._qdata: dict[Name, tuple[Name, list[DataPacket]]] = {}  # query -> (prefix, reply)
+        self._qdata: dict[Name, tuple[Name, bytes]] = {}  # query -> (prefix, row stream)
         self._qdata_by_prefix: dict[Name, set[Name]] = {}
         self._owned_prefixes = tuple(route_prefix(t) for t in config.tiles)
         self.cbf = (
@@ -146,11 +150,12 @@ class DatabaseEngine:
         try:
             if base[-1] == DELETE_MARK:
                 return self.handle_delete(base, interest)
-            if TILE_MARK in base.components:
-                return self.handle_tile_query(base, interest)
             if base[-1] == IP_RES_MARK:
                 return self.handle_ip_res(base, interest)
-            if DATA_MARK in base.components:
+            mark = batch_mark(base)
+            if mark == TILE_MARK:
+                return self.handle_tile_query(base, interest)
+            if mark == DATA_MARK:
                 return self.handle_object_fetch(base, interest)
         except NameSchemeError as exc:
             log.debug("%s: malformed name %s (%s)", self.config.node_id, base, exc)
@@ -175,37 +180,67 @@ class DatabaseEngine:
         if self.validator.chain_tenant(cert) != tid:
             raise ValidationError(f"issuer not certified by tenant {tid}")
 
+    def _open_batch(
+        self, base: Name, interest: InterestPacket, mark: str, parse: Callable
+    ) -> list[tuple] | None:
+        """(name, parse(name)) for every name a batch Interest lists; None
+        when the batch is not for this engine, or refused (and counted).
+
+        The batch is refused whole when its digest does not match its
+        parameters, when any listed name is malformed, lies outside the
+        batch's data set or under a tile this engine does not own, or when
+        the signer may not query every listed name.
+        """
+        try:
+            info = parse_object_batch(base, interest.app_params, mark)
+            if info.tile not in self.config.tiles:
+                return None
+            listed = [(name, parse(name)) for name in info.names]
+            for name, item in listed:
+                if (item.tid, item.cid) != (info.tid, info.cid) or not self.owns(item.tile):
+                    raise ValidationError(f"{name} is outside batch {base}")
+            self._authorize(interest, AccessOp.QUERY, info.names, info.tid)
+        except (ValidationError, NameSchemeError) as exc:
+            self.stats.denied_queries += 1
+            log.debug("%s: batch %s refused: %s", self.config.node_id, base, exc)
+            return None
+        return listed
+
     # --- tile queries --------------------------------------------------------
 
     def handle_tile_query(self, base: Name, interest: InterestPacket):
-        self.stats.tile_queries += 1
-        info = parse_tile_query_name(base)
-        if not self.owns(info.tile):
-            return None
-        try:
-            self._authorize(interest, AccessOp.QUERY, (base,), info.tid)
-        except ValidationError as exc:
-            self.stats.denied_queries += 1
-            log.debug("%s: query denied for %s: %s", self.config.node_id, base, exc)
-            return None  # dropped; the consumer sees a timeout
-        with self._state:
-            cached = self._qdata.get(base)
-            if cached is not None:
-                self.stats.qdata_hits += 1
-                return cached[1]
-            rows = self._select(info.tile, info.tid, info.cid, info.period)
-            payload = encode_packet_stream(r.packet for r in rows)
-            segments = segment(
-                base,
-                payload,
-                max_payload=self.config.max_payload,
-                freshness_ms=self.config.qdata_freshness_ms,
-                sign=self._sign,
-            )
-            self._cache_reply(base, route_prefix(info.tile), segments)
-            return segments
+        """Answer a tile batch with the rows of every (tile, period) query it
+        lists, concatenated in order into one engine-signed container.
 
-    def _cache_reply(self, qname: Name, prefix: Name, segments: list[DataPacket]) -> None:
+        Each query's encoded row stream comes from the cache when it holds
+        one. The reply is rebuilt for each segment Interest and signed on
+        read, outside the state lock, so only the segment sent is signed.
+        """
+        self.stats.tile_queries += 1
+        listed = self._open_batch(base, interest, TILE_MARK, parse_tile_query_name)
+        if listed is None:
+            return None
+        with self._state:
+            payload = b"".join(self._rows(qname, query) for qname, query in listed)
+        return ProducerReply(
+            payload,
+            freshness_ms=self.config.qdata_freshness_ms,
+            sign=self._sign,
+            max_payload=self.config.max_payload,
+        ).segments(base)
+
+    def _rows(self, qname: Name, query: TileQueryInfo) -> bytes:
+        """Encoded row stream answering one tile query; called under `_state`."""
+        cached = self._qdata.get(qname)
+        if cached is not None:
+            self.stats.qdata_hits += 1
+            return cached[1]
+        rows = self._select(query.tile, query.tid, query.cid, query.period)
+        stream = encode_packet_stream(r.packet for r in rows)
+        self._cache_reply(qname, route_prefix(query.tile), stream)
+        return stream
+
+    def _cache_reply(self, qname: Name, prefix: Name, stream: bytes) -> None:
         if len(self._qdata) >= QDATA_CAPACITY:
             oldest = next(iter(self._qdata))
             old_prefix, _ = self._qdata.pop(oldest)
@@ -213,7 +248,7 @@ class DatabaseEngine:
             peers.discard(oldest)
             if not peers:
                 del self._qdata_by_prefix[old_prefix]
-        self._qdata[qname] = (prefix, segments)
+        self._qdata[qname] = (prefix, stream)
         self._qdata_by_prefix.setdefault(prefix, set()).add(qname)
 
     def _select(
@@ -259,21 +294,11 @@ class DatabaseEngine:
         The reply is rebuilt for each segment Interest, so only the segment
         sent is signed.
         """
-        info = parse_object_batch(base, interest.app_params)
-        if info.tile not in self.config.tiles:
-            return None
-        try:
-            for name in info.names:
-                obj = parse_object_name(name)
-                if (obj.tid, obj.cid) != (info.tid, info.cid) or not self.owns(obj.tile):
-                    raise ValidationError(f"{name} is outside batch {base}")
-            self._authorize(interest, AccessOp.QUERY, info.names, info.tid)
-        except (ValidationError, NameSchemeError) as exc:
-            self.stats.denied_queries += 1
-            log.debug("%s: object fetch denied for %s: %s", self.config.node_id, base, exc)
+        listed = self._open_batch(base, interest, DATA_MARK, parse_object_name)
+        if listed is None:
             return None
         with self._state:
-            rows = [self.objects[n].packet for n in info.names if n in self.objects]
+            rows = [self.objects[n].packet for n, _ in listed if n in self.objects]
             self.stats.object_fetches += len(rows)
         return ProducerReply(
             encode_packet_stream(rows),

@@ -1,16 +1,20 @@
 """Front-end library: range queries, insertions, deletions.
 
 A range query runs in two phases: tile-querying (tessellate the box,
-optionally pre-filter void tiles through the Bloom server, send the
-tile-queries one after another on the caller's thread) and post-filtering.
+optionally pre-filter void tiles through the Bloom server, then send one
+tile batch per owning level-0 tile, listing its (tile, period) sub-queries,
+one after another on the caller's thread) and post-filtering.
 
 Trust boundary: each signature vouches for one fact.
 
-- The engine's signature on a tile reply or a batch reply vouches for its
-  index records: that the engine holds these rows for the named tile, data
-  set and period. The front-end verifies it on every reply segment
-  (transport validation). The engine verified the owner's signature on each
-  row when it was inserted.
+- The engine's signature on a tile batch reply vouches for its index
+  records: that the engine holds these rows for every (tile, period)
+  sub-query the batch lists, in the named data set. Its signature on a
+  master batch reply vouches that these are the stored masters it holds
+  of the names listed. The front-end verifies it on every reply segment
+  (transport validation) and accepts it only from an engine's certificate
+  (`sys/<engine>`), not from a user, the Bloom server or the anchor. The
+  engine verified the owner's signature on each row when it was inserted.
 - The owner's signature vouches for the data that is returned. Every
   returned object - a master fetched in a batch or one found in a tile
   reply - passes the provenance check: the owner's signature and a
@@ -53,6 +57,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from geoshard.bloomsvc import SERVER_UID
 from geoshard.geogrid import (
     BBox,
     Feature,
@@ -67,6 +72,8 @@ from geoshard.icn.consumer import Consumer, GetTimeoutError
 from geoshard.icn.names import Name
 from geoshard.icn.packets import DataPacket, decode_packet_stream
 from geoshard.naming import (
+    SYSTEM_DID,
+    TILE_MARK,
     delete_name,
     ip_res_name,
     object_batch,
@@ -100,7 +107,8 @@ ODATA_FRESHNESS_MS = 3_600_000  # freshness of the object packets an insert sign
 
 
 class RangeQueryError(Exception):
-    """A sub-query failed; the whole range query fails with the name attached."""
+    """A tile batch, a master batch or a master failed; the whole range
+    query fails with its name attached."""
 
     def __init__(self, name: Name, cause: str):
         super().__init__(f"sub-query {name} failed: {cause}")
@@ -255,6 +263,19 @@ class Frontend:
         """Transport validation: signer's chain checked, signature verified once."""
         return self.validator.verify_data(pkt, self.verified)
 
+    def _verify_engine_reply(self, pkt: DataPacket) -> None:
+        """Transport validation of an engine's reply (tile batch, master batch,
+        address or delete status): it must be signed by an engine, never by a
+        user, the Bloom server or the anchor."""
+        cert = self._verify_data(pkt)
+        info = cert.info
+        if (
+            info.did != SYSTEM_DID
+            or info.uid == SERVER_UID
+            or cert.kl_name == self.validator.anchor.kl_name
+        ):
+            raise ValidationError(f"reply {pkt.name} signed by {cert.kl_name}, not an engine")
+
     def _check_provenance(self, pkt: DataPacket) -> None:
         """The object must be signed by the owner its name claims."""
         cert = self._verify_data(pkt)
@@ -314,9 +335,15 @@ class Frontend:
         stats.bf_ms = (t2 - t1) * 1000
         stats.tiles_after = len(tiles)
 
-        names = self.spatio_temporal_subqueries(tiles, periods, q.tid, q.cid)
-        stats.subqueries = len(names)
-        payloads = self._fetch_all([(n, None) for n in names])
+        by_owner: dict[TileId, list[TileId]] = {}
+        for tile in tiles:
+            by_owner.setdefault(level0(tile), []).append(tile)
+        batches = []
+        for owner, owned in sorted(by_owner.items()):
+            names = self.spatio_temporal_subqueries(owned, periods, q.tid, q.cid)
+            stats.subqueries += len(names)
+            batches.append(object_batch(owner, q.tid, q.cid, names, TILE_MARK))
+        payloads = self._fetch_all(batches)
         t3 = self.clock()
         stats.batch_ms = (t3 - t2) * 1000
 
@@ -325,11 +352,11 @@ class Frontend:
         stats.postfilter_ms = (self.clock() - t3) * 1000
         return QueryResult(objects, stats)
 
-    def _fetch_all(self, requests: list[tuple[Name, bytes | None]]) -> list[bytes]:
-        """Payloads of (name, application parameters) requests, in order.
+    def _fetch_all(self, requests: list[tuple[Name, bytes]]) -> list[bytes]:
+        """Payloads of (batch name, application parameters) requests, in order.
 
-        The requests go out one after another; the first failure fails the
-        query.
+        The requests go out one after another; the first failure, including
+        a reply not signed by an engine, fails the query.
         """
         payloads = []
         for name, params in requests:
@@ -340,7 +367,7 @@ class Frontend:
                     retries=self.retries,
                     sign=self._sign_interest,
                     app_params=params,
-                    validate=self._verify_data,
+                    validate=self._verify_engine_reply,
                 )
             except GetTimeoutError:
                 raise RangeQueryError(name, "timeout") from None
@@ -438,7 +465,7 @@ class Frontend:
                 return cached[0]
         pkt = self.consumer.get_packet(
             ip_res_name(tile_l0), lifetime_ms=self.lifetime_ms, retries=self.retries,
-            validate=self._verify_data,
+            validate=self._verify_engine_reply,
         )
         endpoint = pkt.payload.decode()
         with self._lock:
@@ -492,7 +519,7 @@ class Frontend:
                     lifetime_ms=self.lifetime_ms,
                     retries=self.retries,
                     sign=self._sign_interest,
-                    validate=self._verify_data,
+                    validate=self._verify_engine_reply,
                 )
                 per_tile.append((oname, raw.decode()))
             except GetTimeoutError:

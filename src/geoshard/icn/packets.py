@@ -28,7 +28,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 from geoshard.icn.names import Name
 
@@ -293,24 +293,21 @@ def segment(
     payload: bytes,
     max_payload: int = DEFAULT_MAX_PAYLOAD,
     freshness_ms: int = 0,
-    sign: Callable[[DataPacket], DataPacket] | None = None,
 ) -> list[DataPacket]:
     """Split a payload into ceil(len/max_payload) Data packets (at least one)."""
     if max_payload < 1:
         raise ValueError("max_payload must be >= 1")
     count = max(1, math.ceil(len(payload) / max_payload))
-    packets = []
-    for i in range(count):
-        chunk = payload[i * max_payload : (i + 1) * max_payload]
-        pkt = DataPacket(
+    return [
+        DataPacket(
             name=segment_name(name, i),
-            payload=chunk,
+            payload=payload[i * max_payload : (i + 1) * max_payload],
             freshness_ms=freshness_ms,
             segment=i,
             final_segment=count - 1,
         )
-        packets.append(sign(pkt) if sign else pkt)
-    return packets
+        for i in range(count)
+    ]
 
 
 def reassemble(packets: Iterable[DataPacket]) -> bytes:

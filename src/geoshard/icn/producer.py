@@ -56,7 +56,7 @@ class SignOnRead(Sequence[DataPacket]):
 
 # A handler returns None to drop the Interest (no reply), a ProducerReply to
 # have the producer segment it and sign the segment it sends, or a segment
-# sequence (prebuilt and signed, when the application caches its replies).
+# sequence, such as the one `ProducerReply.segments` returns.
 Handler = Callable[[Name, InterestPacket], Union[ProducerReply, Sequence[DataPacket], None]]
 
 

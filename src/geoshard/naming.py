@@ -1,10 +1,13 @@
 """Name schemes for stored objects, tile queries, address resolution and commands.
 
   object    ndn:/<tile-prefix>/DATA/<tid>/<cid>/<uid>/<oid>
-  batch     ndn:/<level-0 route prefix>/DATA/<tid>/<cid>/<digest>
-            fetches the objects named in the Interest's application
-            parameters; <digest> is the SHA-256 of those parameters
   query     ndn:/<tile-prefix>/TILE/<tid>/<cid>[/T/<size-min>/<start-min>]
+            one (tile, period) sub-query; travels only listed in a batch
+  batch     ndn:/<level-0 route prefix>/<mark>/<tid>/<cid>/<digest>
+            sent to the engine that owns the level-0 tile; the Interest's
+            application parameters list object names (mark DATA: fetch
+            those objects) or query names (mark TILE: answer those tile
+            queries), and <digest> is the SHA-256 of those parameters
   address   ndn:/<tile-prefix>/IP-RES
   delete    <object name>/DELETE
   key loc.  ndn:/CERT/<did>/<uid>/<permission>
@@ -62,12 +65,21 @@ def object_name(tile: TileId, tid: str, cid: str, uid: str, oid: str) -> Name:
     return tile_prefix(tile).append(DATA_MARK, tid, cid, uid, oid)
 
 
-def object_batch(tile: TileId, tid: str, cid: str, names: Iterable[Name]) -> tuple[Name, bytes]:
-    """(batch name, application parameters) fetching `names` from the engine
-    that owns level-0 `tile`."""
+def object_batch(
+    tile: TileId, tid: str, cid: str, names: Iterable[Name], mark: str = DATA_MARK
+) -> tuple[Name, bytes]:
+    """(batch name, application parameters) listing `names` for the engine
+    that owns level-0 `tile`: objects to fetch (DATA) or tile queries to
+    answer (TILE)."""
     params = json.dumps([list(n.components) for n in names]).encode()
-    name = route_prefix(tile).append(DATA_MARK, tid, cid, sha256(params).hexdigest())
+    name = route_prefix(tile).append(mark, tid, cid, sha256(params).hexdigest())
     return name, params
+
+
+def batch_mark(name: Name) -> str | None:
+    """DATA or TILE for a batch name, None for a name in any other scheme."""
+    c = name.components
+    return c[3] if len(c) == 7 and c[3] in (DATA_MARK, TILE_MARK) else None
 
 
 def tile_query_name(
@@ -171,18 +183,18 @@ def parse_tile_query_name(name: Name) -> TileQueryInfo:
 
 
 @dataclass(frozen=True, slots=True)
-class ObjectBatchInfo:
+class BatchInfo:
     tile: TileId  # level 0
     tid: str
     cid: str
     names: tuple[Name, ...]
 
 
-def parse_object_batch(name: Name, params: bytes | None) -> ObjectBatchInfo:
+def parse_object_batch(name: Name, params: bytes | None, mark: str) -> BatchInfo:
     """Inverse of :func:`object_batch`; the digest must match the parameters."""
+    if batch_mark(name) != mark:
+        raise NameSchemeError(f"bad {mark} batch name: {name}")
     c = name.components
-    if len(c) != 7 or c[3] != DATA_MARK:
-        raise NameSchemeError(f"bad object batch name: {name}")
     try:
         tile = parse_tile_prefix(name.prefix(3) / GPS_ID)
     except GridError as exc:
@@ -196,7 +208,7 @@ def parse_object_batch(name: Name, params: bytes | None) -> ObjectBatchInfo:
         names = tuple(Name(comps) for comps in raw)
     except (TypeError, ValueError) as exc:
         raise NameSchemeError(f"bad parameters of {name}: {exc}") from None
-    return ObjectBatchInfo(tile, c[4], c[5], names)
+    return BatchInfo(tile, c[4], c[5], names)
 
 
 def parse_delete_name(name: Name) -> ObjectNameInfo:

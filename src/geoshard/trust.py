@@ -20,9 +20,10 @@ et al. ("Schematizing Trust in Named Data Networking", ICN 2015):
 - a user's signature on an object packet vouches for the object; engines
   verify it, with the owner and tenant its name claims, before they store
   the packet, and front-ends verify it again on every object they return;
-- an engine's signature on a tile or batch reply vouches for the index
-  records it carries, references included, which front-ends therefore do
-  not verify one by one;
+- an engine's signature on a tile batch or master batch reply vouches for
+  the index records it carries for every name the batch lists, references
+  included, which front-ends therefore do not verify one by one; front-ends
+  accept such a reply only from an engine's certificate (sys/<engine>);
 - a user's signature on an Interest vouches for the request; engines apply
   :func:`check_access` to its signer.
 

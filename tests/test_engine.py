@@ -31,6 +31,7 @@ from geoshard.icn.packets import (
     segment_name,
 )
 from geoshard.naming import (
+    TILE_MARK,
     delete_name,
     ip_res_name,
     object_batch,
@@ -63,6 +64,11 @@ def feature_dict(oid, coords, tid="Foo", uid="u1", cid="poi", valid=None, multi=
     if valid:
         obj["temporalExtent"] = {"validTime": {"type": "interval", "value": list(valid)}}
     return obj
+
+
+def tile_batch(tile, tid, cid, period=None):
+    """(batch name, parameters) of a one-tile batch to the owner of `tile`."""
+    return object_batch(level0(tile), tid, cid, [tile_query_name(tile, tid, cid, period)], TILE_MARK)
 
 
 class Env:
@@ -102,9 +108,10 @@ class Env:
         return self.engine.bulk_insert(local), packets
 
     def query(self, tile, tid="Foo", cid="poi", user="u1", period=None):
-        name = tile_query_name(tile, tid, cid, period)
+        name, params = tile_batch(tile, tid, cid, period)
         ident = self.users.get(user) or getattr(self, user)
-        interest = sign_interest(ident if hasattr(ident, "cert") else self.users[user], InterestPacket(name))
+        interest = InterestPacket(name, app_params=params)
+        interest = sign_interest(ident if hasattr(ident, "cert") else self.users[user], interest)
         reply = self.engine.handle_tile_query(name, interest)
         if reply is None:
             return None
@@ -126,8 +133,8 @@ def test_insert_then_tile_query_returns_both_owners():
 
 def test_void_tile_answered_with_signed_empty_container():
     env = Env()
-    name = tile_query_name(TileId.at(2, 12.99, 41.99), "Foo", "poi")
-    interest = sign_interest(env.users["u1"], InterestPacket(name))
+    name, params = tile_batch(TileId.at(2, 12.99, 41.99), "Foo", "poi")
+    interest = sign_interest(env.users["u1"], InterestPacket(name, app_params=params))
     segments = env.engine.handle_tile_query(name, interest)
     assert segments is not None
     assert segments[0].signature is not None  # signed void reply, not a timeout
@@ -191,6 +198,102 @@ def test_tile_query_allowed_for_readonly_tenant_user():
     env.insert_feature(feature_dict("o1", (12.4, 41.4)))
     rows = env.query(TileId.at(2, 12.4, 41.4), user="reader")
     assert len(rows) == 1
+
+
+def _signed_batch(env, tiles, tid="Foo", user="u1"):
+    """A batch of plain tile queries for `tiles`, addressed to the first tile's owner."""
+    qnames = [tile_query_name(t, "Foo" if i == 0 else tid, "poi") for i, t in enumerate(tiles)]
+    name, params = object_batch(level0(tiles[0]), "Foo", "poi", qnames, TILE_MARK)
+    return name, sign_interest(env.users[user], InterestPacket(name, app_params=params))
+
+
+@pytest.mark.parametrize(
+    "second, tid",
+    [
+        ((12.41, 41.41), "Bar"),  # a tile of tenant Bar
+        ((13.41, 41.41), "Foo"),  # a tile owned by another engine
+    ],
+)
+def test_tile_batch_reaching_outside_is_refused_whole(second, tid):
+    env = Env()
+    env.insert_feature(feature_dict("o1", (12.4, 41.4)))
+    name, interest = _signed_batch(env, [TileId.at(2, 12.4, 41.4), TileId.at(2, *second)], tid)
+    lookups = env.engine.stats.index_lookups
+    assert env.engine.handle_tile_query(name, interest) is None
+    assert env.engine.stats.denied_queries == 1
+    assert env.engine.stats.index_lookups == lookups  # not one listed tile answered
+
+
+def test_tile_batch_digest_must_match_parameters():
+    env = Env()
+    name, _ = _signed_batch(env, [TileId.at(2, 12.4, 41.4)])
+    _, other = _signed_batch(env, [TileId.at(2, 12.5, 41.5)])
+    forged = sign_interest(env.users["u1"], InterestPacket(name, app_params=other.app_params))
+    assert env.engine.handle_interest(name, forged) is None
+    assert env.engine.handle_tile_query(name, forged) is None
+    assert env.engine.stats.denied_queries == 2
+    assert env.engine.stats.index_lookups == 0
+
+
+def test_batches_sharing_a_tile_share_its_cached_rows():
+    env = Env()
+    env.insert_feature(feature_dict("o1", (12.45, 41.45)))
+    shared, first, second = (TileId.at(2, 12.45, 41.45), TileId.at(2, 12.46, 41.45),
+                             TileId.at(1, 12.4, 41.4))
+    name, interest = _signed_batch(env, [first, shared])
+    before = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
+    lookups = env.engine.stats.index_lookups
+    name, interest = _signed_batch(env, [shared, second])
+    after = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
+    assert env.engine.stats.qdata_hits == 1
+    assert env.engine.stats.index_lookups == lookups + 1  # only `second` was selected
+    assert [p.name for p in before] == [p.name for p in after[: len(before)]]
+    assert {p.name[-1] for p in after} == {"o1"}
+    assert len(after) == 2  # the level-2 master and the level-1 reference
+
+
+def _fetch_over_a_face(env, name, interest):
+    """Fetch a batch from `env.engine` the way a front-end does: every
+    segment Interest signed by u1, every reply segment verified."""
+    producer_face, consumer_face = face_pair()
+    env.engine.attach(Producer(producer_face))
+    return Consumer(consumer_face).get(
+        name,
+        app_params=interest.app_params,
+        sign=lambda pkt: sign_interest(env.users["u1"], pkt),
+        validate=env.validator.verify_data,
+        lifetime_ms=500,
+        retries=0,
+    )
+
+
+def test_tile_batch_reply_reassembles_across_segments():
+    env = Env()
+    tiles = [TileId.at(2, 12.05 + i / 10, 41.05) for i in range(4)]
+    for i, tile in enumerate(tiles):
+        env.insert_feature(feature_dict(f"seg{i}", (12.051 + i / 10, 41.051)))
+    name, interest = _signed_batch(env, tiles)
+    payload = reassemble(env.engine.handle_tile_query(name, interest))
+    env.engine.config.max_payload = -(-len(payload) // 5)  # five segments
+    assert len(env.engine.handle_tile_query(name, interest)) == 5
+    got = _fetch_over_a_face(env, name, interest)
+    assert got == payload
+    assert [r.name[-1] for r in decode_packet_stream(got)] == ["seg0", "seg1", "seg2", "seg3"]
+
+
+def test_tile_batch_reply_is_signed_outside_the_state_lock():
+    env = Env()
+    tiles = [TileId.at(2, 12.05 + i / 10, 41.05) for i in range(3)]
+    for i in range(3):
+        env.insert_feature(feature_dict(f"lock{i}", (12.051 + i / 10, 41.051)))
+    env.engine.config.max_payload = 200  # several segments
+    held = []
+    sign = env.engine._sign
+    env.engine._sign = lambda pkt: held.append(env.engine._state._is_owned()) or sign(pkt)
+    name, interest = _signed_batch(env, tiles)
+    assert len(decode_packet_stream(_fetch_over_a_face(env, name, interest))) == 3
+    assert len(held) > 1
+    assert not any(held)
 
 
 def test_level_replication_rows_and_single_master():

@@ -25,7 +25,15 @@ from geoshard.geogrid import BBox, FeatureError, TileId, parse_feature
 from geoshard.icn.names import Name
 from geoshard.icn.packets import DataPacket, InterestPacket, encode_packet_stream
 from geoshard.icn.producer import Producer, ProducerReply
-from geoshard.naming import BF_MEMBER_PREFIX, BF_PREFIX, delete_name, object_name
+from geoshard.naming import (
+    BF_MEMBER_PREFIX,
+    BF_PREFIX,
+    TILE_MARK,
+    batch_mark,
+    delete_name,
+    object_name,
+    route_prefix,
+)
 from geoshard.objects import (
     build_object_packets,
     decode_object_payload,
@@ -395,6 +403,64 @@ def test_forged_bloom_reply_falls_back_to_every_tile(forgery):
         pruned = fe.range_query(RangeQuery(box, "Foo", "poi", use_bf=True))
         assert pruned.oids == full.oids
         assert pruned.stats.bf_fallback
+    finally:
+        cluster.close()
+
+
+def test_range_query_sends_one_tile_batch_per_engine(monkeypatch):
+    cluster = Cluster(make_spec())
+    try:
+        fe = cluster.frontend_as("Foo", "poi", "u1")
+        rng = random.Random(11)
+        features = [
+            feature_dict(f"corner{i}", (rng.uniform(12.81, 13.19), rng.uniform(41.81, 42.19)))
+            for i in range(24)
+        ]
+        features.append(feature_dict("straddle", [(12.93, 41.94), (13.06, 42.07)], multi=True))
+        for obj in features:
+            assert fe.insert(obj).ok
+        batches = []
+        real_get = fe.consumer.get
+
+        def recording_get(name, **kw):
+            if batch_mark(name) == TILE_MARK:
+                batches.append(name)
+            return real_get(name, **kw)
+
+        monkeypatch.setattr(fe.consumer, "get", recording_get)
+        for mode in ("intersect", "include"):
+            batches.clear()
+            q = RangeQuery(BBox.of(12.85, 41.85, 13.15, 42.15), "Foo", "poi", mode=mode, k=20)
+            res = fe.range_query(q)
+            assert res.oids == _oracle(features, q)
+            owners = [name.prefix(3) for name in batches]
+            assert len(owners) == len(set(owners)) == 4  # one batch per engine
+            assert res.stats.subqueries > len(batches)
+    finally:
+        cluster.close()
+
+
+def test_tile_reply_not_signed_by_an_engine_fails_the_query():
+    # a rogue responder takes e1's prefix on the router and answers every
+    # tile batch with an empty container signed by a certified user
+    cluster = Cluster(make_spec())
+    try:
+        fe = cluster.frontend_as("Foo", "poi", "u1")
+        assert fe.insert(feature_dict("dropped", (12.315, 41.325))).ok
+        q = RangeQuery(BBox.of(12.301, 41.301, 12.339, 41.339), "Foo", "poi")
+        assert fe.range_query(q).oids == {"dropped"}
+        u1 = cluster.user_ids[("Foo", "poi", "u1")]
+        prefix = route_prefix(TileId.at(0, 12, 41))
+        for fid in list(cluster.router.fib[prefix]):
+            cluster.router.withdraw(prefix, fid)
+        face, fid = cluster.fabric.attach(cluster.router, "rogue-e1")
+        cluster.router.advertise(prefix, fid)
+        Producer(face, "rogue-e1").serve(
+            prefix, lambda base, interest: ProducerReply(b"", sign=data_signer(u1))
+        )
+        with pytest.raises(RangeQueryError) as err:
+            fe.range_query(q)
+        assert "not an engine" in str(err.value)
     finally:
         cluster.close()
 
@@ -833,6 +899,16 @@ ndn:/OGB/13/41 = e1
         assert rep.ok
     finally:
         cluster.close()
+
+
+@pytest.mark.parametrize("node", ["admin", "bf-server"])
+def test_reserved_node_names_cannot_name_engines(tmp_path, node):
+    with pytest.raises(ValueError, match="reserved"):
+        Cluster(make_spec(engines={node: [TileId.at(0, 12, 41)]}))
+    cfg = tmp_path / "cluster.ini"
+    cfg.write_text(f"[cluster]\nscheme = hmac\n\n[engine.{node}]\ntiles = 12/41\n")
+    with pytest.raises(ValueError, match="reserved"):
+        parse_cluster_config(str(cfg))
 
 
 def test_cluster_close_logs_a_failing_closer_and_runs_the_rest(caplog):
