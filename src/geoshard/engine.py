@@ -2,14 +2,15 @@
 
 Stores object rows grouped by (tile prefix, tenant, collection) and
 answers batch Interests, one per front-end request and owned level-0 tile:
-a tile batch lists (tile, period) queries and is answered with one signed
-container of their concatenated row streams, each served from an
-invalidating application-layer cache when possible; an object batch
-fetches masters into one signed container. The engine also resolves its
-own bulk-insert address, applies the access-control table to every
-operation, and keeps a counting Bloom filter over (tile-prefix, tenant,
-collection) groups whose 0->1 / 1->0 bucket transitions are published to
-the filter server.
+a tile batch lists (tile, period) queries of one data set and is answered
+with one signed container holding the union of their rows, each row once,
+every query's rows served from an invalidating application-layer cache
+when possible; an object batch fetches masters into one signed container.
+A batch is authorized with one access decision on its data set. The
+engine also resolves its own bulk-insert address, applies the
+access-control table to every operation, and keeps a counting Bloom
+filter over (tile-prefix, tenant, collection) groups whose 0->1 / 1->0
+bucket transitions are published to the filter server.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from geoshard.icn.packets import (
     decode_packet,
     encode_packet,
     encode_packet_stream,
+    split_packet_stream,
 )
 from geoshard.icn.producer import Producer, ProducerReply
 from geoshard.naming import (
@@ -46,6 +48,7 @@ from geoshard.naming import (
     parse_object_name,
     parse_tile_query_name,
     route_prefix,
+    tile_query_name,
 )
 from geoshard.objects import StoredObject
 from geoshard.trust import (
@@ -70,7 +73,7 @@ DELETE_OK = b"OK"
 DELETE_NOT_FOUND = b"NOT-FOUND"
 DELETE_DENIED = b"DENIED"
 
-# tile-query row streams an engine caches; past this the oldest is evicted
+# tile queries whose rows an engine caches; past this the oldest is evicted
 QDATA_CAPACITY = 512
 
 
@@ -123,7 +126,8 @@ class DatabaseEngine:
         self._state = threading.RLock()
         self.objects: dict[Name, StoredObject] = {}
         self._groups: dict[tuple[Name, str, str], set[Name]] = {}
-        self._qdata: dict[Name, tuple[Name, bytes]] = {}  # query -> (prefix, row stream)
+        # query -> (prefix, row names, row stream): the stream holds the rows in name order
+        self._qdata: dict[Name, tuple[Name, tuple[Name, ...], bytes]] = {}
         self._qdata_by_prefix: dict[Name, set[Name]] = {}
         self._owned_prefixes = tuple(route_prefix(t) for t in config.tiles)
         self.cbf = (
@@ -165,18 +169,17 @@ class DatabaseEngine:
     # --- access control ------------------------------------------------------
 
     def _authorize(
-        self, pkt: InterestPacket | DataPacket, op: AccessOp, targets: Iterable[Name], tid: str
+        self, pkt: InterestPacket | DataPacket, op: AccessOp, target: Name, tid: str
     ) -> None:
         """Raise ValidationError unless `pkt` verifies and its signer, certified
-        under tenant `tid`, may perform `op` on every target name."""
+        under tenant `tid`, may perform `op` on the target name."""
         if isinstance(pkt, DataPacket):
             cert = self.validator.verify_data(pkt)
         else:
             cert = self.validator.verify_interest(pkt)
-        for target in targets:
-            decision = check_access(op, target, cert.kl_name)
-            if not decision.allow:
-                raise ValidationError(decision.reason)
+        decision = check_access(op, target, cert.kl_name)
+        if not decision.allow:
+            raise ValidationError(decision.reason)
         if self.validator.chain_tenant(cert) != tid:
             raise ValidationError(f"issuer not certified by tenant {tid}")
 
@@ -189,7 +192,9 @@ class DatabaseEngine:
         The batch is refused whole when its digest does not match its
         parameters, when any listed name is malformed, lies outside the
         batch's data set or under a tile this engine does not own, or when
-        the signer may not query every listed name.
+        the signer may not query the batch's data set. Since every listed
+        name lies in that data set, one access decision covers them all:
+        the one on the query of the batch's whole level-0 tile.
         """
         try:
             info = parse_object_batch(base, interest.app_params, mark)
@@ -199,7 +204,8 @@ class DatabaseEngine:
             for name, item in listed:
                 if (item.tid, item.cid) != (info.tid, info.cid) or not self.owns(item.tile):
                     raise ValidationError(f"{name} is outside batch {base}")
-            self._authorize(interest, AccessOp.QUERY, info.names, info.tid)
+            scope = tile_query_name(info.tile, info.tid, info.cid)
+            self._authorize(interest, AccessOp.QUERY, scope, info.tid)
         except (ValidationError, NameSchemeError) as exc:
             self.stats.denied_queries += 1
             log.debug("%s: batch %s refused: %s", self.config.node_id, base, exc)
@@ -209,19 +215,32 @@ class DatabaseEngine:
     # --- tile queries --------------------------------------------------------
 
     def handle_tile_query(self, base: Name, interest: InterestPacket):
-        """Answer a tile batch with the rows of every (tile, period) query it
-        lists, concatenated in order into one engine-signed container.
+        """Answer a tile batch with one engine-signed container holding the
+        union of the rows of every (tile, period) query it lists, each row
+        once: the queries' rows in order, less those already in the reply.
 
-        Each query's encoded row stream comes from the cache when it holds
-        one. The reply is rebuilt for each segment Interest and signed on
-        read, outside the state lock, so only the segment sent is signed.
+        A row without validity, or one spanning several of the listed
+        periods, answers each of those queries but is sent once. Each
+        query's rows come from the cache when it holds them. The reply is
+        rebuilt for each segment Interest and signed on read, outside the
+        state lock, so only the segment sent is signed.
         """
         self.stats.tile_queries += 1
         listed = self._open_batch(base, interest, TILE_MARK, parse_tile_query_name)
         if listed is None:
             return None
+        parts: list[bytes | memoryview] = []
+        sent: set[Name] = set()
         with self._state:
-            payload = b"".join(self._rows(qname, query) for qname, query in listed)
+            for qname, query in listed:
+                names, stream = self._rows(qname, query)
+                if sent.isdisjoint(names):
+                    parts.append(stream)
+                else:
+                    items = zip(names, split_packet_stream(stream))
+                    parts.extend(item for name, item in items if name not in sent)
+                sent.update(names)
+            payload = b"".join(parts)
         return ProducerReply(
             payload,
             freshness_ms=self.config.qdata_freshness_ms,
@@ -229,26 +248,30 @@ class DatabaseEngine:
             max_payload=self.config.max_payload,
         ).segments(base)
 
-    def _rows(self, qname: Name, query: TileQueryInfo) -> bytes:
-        """Encoded row stream answering one tile query; called under `_state`."""
+    def _rows(self, qname: Name, query: TileQueryInfo) -> tuple[tuple[Name, ...], bytes]:
+        """Names and encoded stream of the rows answering one tile query;
+        called under `_state`."""
         cached = self._qdata.get(qname)
         if cached is not None:
             self.stats.qdata_hits += 1
-            return cached[1]
+            return cached[1], cached[2]
         rows = self._select(query.tile, query.tid, query.cid, query.period)
+        names = tuple(r.name for r in rows)
         stream = encode_packet_stream(r.packet for r in rows)
-        self._cache_reply(qname, route_prefix(query.tile), stream)
-        return stream
+        self._cache_rows(qname, route_prefix(query.tile), names, stream)
+        return names, stream
 
-    def _cache_reply(self, qname: Name, prefix: Name, stream: bytes) -> None:
+    def _cache_rows(
+        self, qname: Name, prefix: Name, names: tuple[Name, ...], stream: bytes
+    ) -> None:
         if len(self._qdata) >= QDATA_CAPACITY:
             oldest = next(iter(self._qdata))
-            old_prefix, _ = self._qdata.pop(oldest)
+            old_prefix = self._qdata.pop(oldest)[0]
             peers = self._qdata_by_prefix[old_prefix]
             peers.discard(oldest)
             if not peers:
                 del self._qdata_by_prefix[old_prefix]
-        self._qdata[qname] = (prefix, stream)
+        self._qdata[qname] = (prefix, names, stream)
         self._qdata_by_prefix.setdefault(prefix, set()).add(qname)
 
     def _select(
@@ -262,13 +285,6 @@ class DatabaseEngine:
             p0, p1 = start * 60, (start + size) * 60
             rows = [r for r in rows if r.overlaps_seconds(p0, p1)]
         return rows
-
-    def select_names(
-        self, tile: TileId, tid: str, cid: str, period: tuple[int, int] | None = None
-    ) -> list[Name]:
-        """Names in the level-matching table under this prefix and group."""
-        with self._state:
-            return [r.name for r in self._select(tile, tid, cid, period)]
 
     # --- address resolution ---------------------------------------------------
 
@@ -327,7 +343,7 @@ class DatabaseEngine:
         if not self.owns(row.tile):
             return STATUS_WRONG_SHARD
         try:
-            self._authorize(pkt, AccessOp.INSERT, (pkt.name,), row.tid)
+            self._authorize(pkt, AccessOp.INSERT, pkt.name, row.tid)
         except ValidationError as exc:
             self.stats.denied_inserts += 1
             log.debug("%s: insert denied for %s: %s", self.config.node_id, pkt.name, exc)
@@ -350,7 +366,7 @@ class DatabaseEngine:
         if not self.owns(info.tile):
             return None
         try:
-            self._authorize(interest, AccessOp.DELETE, (base,), info.tid)
+            self._authorize(interest, AccessOp.DELETE, base, info.tid)
         except ValidationError as exc:
             self.stats.denied_deletes += 1
             log.debug("%s: delete denied for %s: %s", self.config.node_id, base, exc)

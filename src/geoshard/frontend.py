@@ -8,13 +8,14 @@ one after another on the caller's thread) and post-filtering.
 Trust boundary: each signature vouches for one fact.
 
 - The engine's signature on a tile batch reply vouches for its index
-  records: that the engine holds these rows for every (tile, period)
-  sub-query the batch lists, in the named data set. Its signature on a
-  master batch reply vouches that these are the stored masters it holds
-  of the names listed. The front-end verifies it on every reply segment
-  (transport validation) and accepts it only from an engine's certificate
-  (`sys/<engine>`), not from a user, the Bloom server or the anchor. The
-  engine verified the owner's signature on each row when it was inserted.
+  records: that these rows, each once, are the union of the rows it holds
+  for the (tile, period) sub-queries the batch lists, in the named data
+  set. Its signature on a master batch reply vouches that these are the
+  stored masters it holds of the names listed. The front-end verifies it
+  on every reply segment (transport validation) and accepts it only from
+  an engine's certificate (`sys/<engine>`), not from a user, the Bloom
+  server or the anchor. The engine verified the owner's signature on each
+  row when it was inserted.
 - The owner's signature vouches for the data that is returned. Every
   returned object - a master fetched in a batch or one found in a tile
   reply - passes the provenance check: the owner's signature and a
@@ -70,7 +71,7 @@ from geoshard.geogrid import (
 from geoshard.icn.clock import system_clock
 from geoshard.icn.consumer import Consumer, GetTimeoutError
 from geoshard.icn.names import Name
-from geoshard.icn.packets import DataPacket, decode_packet_stream
+from geoshard.icn.packets import DataPacket, Packet, decode_packet_stream
 from geoshard.naming import (
     SYSTEM_DID,
     TILE_MARK,
@@ -343,22 +344,24 @@ class Frontend:
             names = self.spatio_temporal_subqueries(owned, periods, q.tid, q.cid)
             stats.subqueries += len(names)
             batches.append(object_batch(owner, q.tid, q.cid, names, TILE_MARK))
-        payloads = self._fetch_all(batches)
+        replies = self._fetch_all(batches)
         t3 = self.clock()
         stats.batch_ms = (t3 - t2) * 1000
 
-        objects = self._collect(payloads, q, stats)
+        objects = self._collect(replies, q, stats)
         objects.sort(key=lambda f: (f.oid, f.uid))
         stats.postfilter_ms = (self.clock() - t3) * 1000
         return QueryResult(objects, stats)
 
-    def _fetch_all(self, requests: list[tuple[Name, bytes]]) -> list[bytes]:
-        """Payloads of (batch name, application parameters) requests, in order.
+    def _fetch_all(self, requests: list[tuple[Name, bytes]]) -> list[tuple[Name, bytes]]:
+        """(batch name, reply payload) of (batch name, application parameters)
+        requests, in order.
 
         The requests go out one after another; the first failure, including
-        a reply not signed by an engine, fails the query.
+        a reply not signed by an engine or whose segments do not fit
+        together, fails the query.
         """
-        payloads = []
+        replies = []
         for name, params in requests:
             try:
                 raw = self.consumer.get(
@@ -373,10 +376,14 @@ class Frontend:
                 raise RangeQueryError(name, "timeout") from None
             except ValidationError as exc:
                 raise RangeQueryError(name, f"validation: {exc}") from None
-            payloads.append(raw)
-        return payloads
+            except ValueError as exc:
+                raise RangeQueryError(name, f"malformed reply: {exc}") from None
+            replies.append((name, raw))
+        return replies
 
-    def _collect(self, payloads: list[bytes], q: RangeQuery, stats: QueryStats) -> list[Feature]:
+    def _collect(
+        self, replies: list[tuple[Name, bytes]], q: RangeQuery, stats: QueryStats
+    ) -> list[Feature]:
         """The objects matching `q`, one per identity; references resolved.
 
         Each copy of an unresolved identity is tested against `q`; a master
@@ -386,8 +393,8 @@ class Frontend:
         """
         features: dict[ObjectKey, Feature] = {}
         refs: dict[ObjectKey, TileId] = {}  # identity -> master's level-2 tile
-        for raw in payloads:
-            for pkt in decode_packet_stream(raw):
+        for name, raw in replies:
+            for pkt in _decode_reply(name, raw):
                 try:
                     key = _object_key(pkt)
                     if key in features:
@@ -433,8 +440,8 @@ class Frontend:
             batches.setdefault((level0(info.tile), info.tid, info.cid), []).append(master)
         requests = [object_batch(*group, names) for group, names in batches.items()]
         found: dict[ObjectKey, Feature] = {}
-        for raw in self._fetch_all(requests):
-            for pkt in decode_packet_stream(raw):
+        for name, raw in self._fetch_all(requests):
+            for pkt in _decode_reply(name, raw):
                 key = missing.pop(pkt.name, None) if isinstance(pkt, DataPacket) else None
                 try:
                     if key is None:
@@ -537,6 +544,14 @@ class Frontend:
 
 
 ObjectKey = tuple[str, str, str, str]  # (tid, cid, uid, oid)
+
+
+def _decode_reply(name: Name, raw: bytes) -> list[Packet]:
+    """The packets of batch `name`'s reply; a malformed one fails the query."""
+    try:
+        return decode_packet_stream(raw)
+    except ValueError as exc:
+        raise RangeQueryError(name, f"malformed reply: {exc}") from None
 
 
 def _object_key(pkt) -> ObjectKey:

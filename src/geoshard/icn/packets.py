@@ -234,6 +234,19 @@ def encode_packet_stream(packets: Iterable[Packet]) -> bytes:
     return b"".join(out)
 
 
+def split_packet_stream(raw: bytes) -> list[memoryview]:
+    """The framed items of a stream that :func:`encode_packet_stream` made,
+    each with its length prefix, as views into `raw`; joined, they are `raw`."""
+    view = memoryview(raw)
+    out = []
+    pos, size = 0, len(raw)
+    while pos < size:
+        end = pos + 4 + _U32.unpack_from(raw, pos)[0]
+        out.append(view[pos:end])
+        pos = end
+    return out
+
+
 def decode_packet_stream(raw: bytes) -> list[Packet]:
     """The packets of a stream, each decoded in place."""
     out = []
@@ -311,11 +324,17 @@ def segment(
 
 
 def reassemble(packets: Iterable[DataPacket]) -> bytes:
-    """Inverse of :func:`segment`; validates indices and the final marker."""
+    """Inverse of :func:`segment`; validates indices and the final markers.
+
+    Every segment must carry the same final marker: segments of two builds
+    of a reply that changed size between them are refused, not joined.
+    """
     pkts = sorted(packets, key=lambda p: p.segment or 0)
     if not pkts:
         raise ValueError("no segments")
     final = pkts[-1].final_segment
+    if any(p.final_segment != final for p in pkts):
+        raise ValueError("segments disagree on the final segment")
     if final is None or [p.segment for p in pkts] != list(range(final + 1)):
         raise ValueError("segment set is not contiguous")
     return b"".join(p.payload for p in pkts)

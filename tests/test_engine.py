@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+import geoshard.engine as engine_mod
 from geoshard.engine import (
     BulkInsertClient,
     BulkInsertServer,
@@ -37,11 +38,13 @@ from geoshard.naming import (
     object_batch,
     object_name,
     parse_object_name,
+    parse_tile_query_name,
     tile_query_name,
 )
 from geoshard.objects import build_object_packets, decode_object_payload
 from geoshard.trust import (
     SCHEME_HMAC,
+    AccessOp,
     Validator,
     data_signer,
     issue,
@@ -64,6 +67,12 @@ def feature_dict(oid, coords, tid="Foo", uid="u1", cid="poi", valid=None, multi=
     if valid:
         obj["temporalExtent"] = {"validTime": {"type": "interval", "value": list(valid)}}
     return obj
+
+
+def select_names(engine, tile, tid, cid, period=None):
+    """Names in the engine's level-matching table under this prefix and group."""
+    with engine._state:
+        return [r.name for r in engine._select(tile, tid, cid, period)]
 
 
 def tile_batch(tile, tid, cid, period=None):
@@ -281,6 +290,75 @@ def test_tile_batch_reply_reassembles_across_segments():
     assert [r.name[-1] for r in decode_packet_stream(got)] == ["seg0", "seg1", "seg2", "seg3"]
 
 
+def test_segments_of_two_reply_builds_are_refused():
+    # a write between segment 0 and the rest rebuilds the reply at another size
+    env = Env()
+    tiles = [TileId.at(2, 12.05 + i / 10, 41.05) for i in range(4)]
+    for i in range(4):
+        env.insert_feature(feature_dict(f"seg{i}", (12.051 + i / 10, 41.051)))
+    name, interest = _signed_batch(env, tiles)
+    payload = reassemble(env.engine.handle_tile_query(name, interest))
+    env.engine.config.max_payload = -(-len(payload) // 5)  # five segments
+    first = env.engine.handle_tile_query(name, interest)[0]
+    env.insert_feature(feature_dict("new", (12.052, 41.052)))  # a row in the first tile
+    rebuilt = env.engine.handle_tile_query(name, interest)
+    assert first.final_segment == 4 and len(rebuilt) == 7
+    with pytest.raises(ValueError, match="final segment"):
+        reassemble([first, *(rebuilt[i] for i in range(1, 7))])
+
+
+def _signed_period_batch(env, tile, periods):
+    """A batch of u1's queries of `tile`, one per period."""
+    qnames = [tile_query_name(tile, "Foo", "poi", period) for period in periods]
+    name, params = object_batch(level0(tile), "Foo", "poi", qnames, TILE_MARK)
+    return name, sign_interest(env.users["u1"], InterestPacket(name, app_params=params))
+
+
+def test_row_matching_two_listed_periods_is_sent_once():
+    env = Env()
+    env.insert_feature(feature_dict("timeless", (12.83, 41.83)))
+    env.insert_feature(feature_dict("early", (12.831, 41.831), valid=(600, 1200)))
+    env.insert_feature(feature_dict("late", (12.832, 41.832), valid=(7000, 7100)))
+    env.insert_feature(feature_dict("both", (12.833, 41.833), valid=(5000, 7000)))
+    tile = TileId.at(2, 12.83, 41.83)
+    first, second = (0, 100), (100, 100)  # seconds 0..6000 and 6000..12000
+    name, interest = _signed_period_batch(env, tile, [first, second])
+    rows = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
+    # the first period's rows, then the second's less those already sent
+    assert [r.name[-1] for r in rows] == ["both", "early", "timeless", "late"]
+    assert env.engine.stats.qdata_hits == 0
+    # the cache keeps each period's own rows: a batch of the second alone hits
+    rows = env.query(tile, period=second)
+    assert [r.name[-1] for r in rows] == ["both", "late", "timeless"]
+    assert env.engine.stats.qdata_hits == 1
+    # a repeated batch is answered from the cache with the same reply
+    again = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
+    assert [r.name[-1] for r in again] == ["both", "early", "timeless", "late"]
+    assert env.engine.stats.qdata_hits == 3
+
+
+def test_tile_batch_makes_one_access_decision(monkeypatch):
+    env = Env()
+    env.insert_feature(feature_dict("o1", (12.05, 41.05)))
+    decisions = []
+    real = engine_mod.check_access
+    monkeypatch.setattr(
+        engine_mod, "check_access", lambda *args: decisions.append(args) or real(*args)
+    )
+    tiles = [TileId.at(2, 12.05 + i / 10, 41.05) for i in range(5)]
+    name, interest = _signed_batch(env, tiles)
+    assert len(decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))) == 1
+    assert len(decisions) == 1
+    op, target, _ = decisions[0]
+    assert op is AccessOp.QUERY and parse_tile_query_name(target).did == "Foo.poi"
+    # the one decision still refuses a signer of another data set
+    decisions.clear()
+    foreign = sign_interest(env.other_user, InterestPacket(name, app_params=interest.app_params))
+    assert env.engine.handle_tile_query(name, foreign) is None
+    assert len(decisions) == 1
+    assert env.engine.stats.denied_queries == 1
+
+
 def test_tile_batch_reply_is_signed_outside_the_state_lock():
     env = Env()
     tiles = [TileId.at(2, 12.05 + i / 10, 41.05) for i in range(3)]
@@ -378,14 +456,14 @@ def test_select_names_per_level_and_tenant():
     env.engine.bulk_insert([p for t, p in packets if env.engine.owns(t)])
 
     l2 = TileId.at(2, 12.71, 41.71)
-    assert [n[-1] for n in env.engine.select_names(l2, "Foo", "poi")] == ["a"]
-    assert [n[-1] for n in env.engine.select_names(l2, "Bar", "poi")] == ["b"]
+    assert [n[-1] for n in select_names(env.engine, l2, "Foo", "poi")] == ["a"]
+    assert [n[-1] for n in select_names(env.engine, l2, "Bar", "poi")] == ["b"]
     # the level-1 table answers level-1 queries; rows are distinct from level-2 rows
     l1 = TileId.at(1, 12.7, 41.7)
-    l1_names = env.engine.select_names(l1, "Foo", "poi")
+    l1_names = select_names(env.engine, l1, "Foo", "poi")
     assert len(l1_names) == 1
-    assert l1_names[0] != env.engine.select_names(l2, "Foo", "poi")[0]
-    assert env.engine.select_names(TileId.at(1, 12.0, 41.0), "Foo", "poi") == []
+    assert l1_names[0] != select_names(env.engine, l2, "Foo", "poi")[0]
+    assert select_names(env.engine, TileId.at(1, 12.0, 41.0), "Foo", "poi") == []
 
 
 def test_temporal_period_filter():

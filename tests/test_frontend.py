@@ -23,11 +23,19 @@ from geoshard.frontend import (
 )
 from geoshard.geogrid import BBox, FeatureError, TileId, parse_feature
 from geoshard.icn.names import Name
-from geoshard.icn.packets import DataPacket, InterestPacket, encode_packet_stream
+from geoshard.icn.packets import (
+    DataPacket,
+    InterestPacket,
+    decode_packet_stream,
+    encode_packet_stream,
+    reassemble,
+    segment_name,
+)
 from geoshard.icn.producer import Producer, ProducerReply
 from geoshard.naming import (
     BF_MEMBER_PREFIX,
     BF_PREFIX,
+    DATA_MARK,
     TILE_MARK,
     batch_mark,
     delete_name,
@@ -249,9 +257,12 @@ def test_failed_copy_leaves_later_copies_eligible(cluster):
     ]
     forged = replace(master, signature=bytes(len(master.signature)))
     stats = QueryStats()
-    payloads = [encode_packet_stream([forged]), encode_packet_stream([master, master])]
+    replies = [
+        (Name(["first"]), encode_packet_stream([forged])),
+        (Name(["second"]), encode_packet_stream([master, master])),
+    ]
     q = RangeQuery(BBox.of(13.7, 41.7, 13.72, 41.72), "Foo", "poi")
-    assert [f.oid for f in fe._collect(payloads, q, stats)] == ["twice"]
+    assert [f.oid for f in fe._collect(replies, q, stats)] == ["twice"]
     assert stats.validation_warnings == 1
 
 
@@ -465,6 +476,49 @@ def test_tile_reply_not_signed_by_an_engine_fails_the_query():
         cluster.close()
 
 
+def _truncated(engine, base, segments):
+    """The reply, engine-signed, one byte short of its last row."""
+    return ProducerReply(reassemble(segments)[:-1], sign=engine._sign)
+
+
+def _mismatched(engine, base, segments):
+    """The reply in two engine-signed segments whose final markers disagree."""
+    payload = reassemble(segments)
+    parts = (payload[: len(payload) // 2], payload[len(payload) // 2 :])
+    return [
+        engine._sign(DataPacket(segment_name(base, i), part, segment=i, final_segment=i + 1))
+        for i, part in enumerate(parts)
+    ]
+
+
+@pytest.mark.parametrize("fault", [_truncated, _mismatched])
+@pytest.mark.parametrize("handler, mark", [
+    ("handle_tile_query", TILE_MARK),
+    ("handle_object_fetch", DATA_MARK),
+])
+def test_malformed_engine_reply_fails_the_query_with_its_batch_name(
+    monkeypatch, handler, mark, fault
+):
+    cluster = Cluster(make_spec())
+    try:
+        fe = cluster.frontend_as("Foo", "poi", "u1")
+        assert fe.insert(feature_dict("cut", (12.45, 41.55))).ok
+        # the level-1 tile answers with a reference; its master is then fetched
+        q = RangeQuery(BBox.of(12.4, 41.5, 12.5, 41.6), "Foo", "poi", k=1)
+        assert fe.range_query(q).oids == {"cut"}
+        engine = cluster.engine("e1")
+        real = getattr(engine, handler)
+        monkeypatch.setattr(
+            engine, handler, lambda base, interest: fault(engine, base, real(base, interest))
+        )
+        with pytest.raises(RangeQueryError) as err:
+            fe.range_query(q)
+        assert "malformed reply" in str(err.value)
+        assert batch_mark(err.value.name) == mark
+    finally:
+        cluster.close()
+
+
 def test_cold_frontend_fans_out_on_the_caller_thread(cluster, monkeypatch):
     fe = cluster.frontend_as("Foo", "poi", "u1")
     in_flight = {"now": 0, "max": 0}
@@ -570,9 +624,8 @@ def test_reference_with_a_zeroed_owner_signature_still_resolves(cluster, monkeyp
     try:
         stats = QueryStats()
         q = RangeQuery(BBox.of(13.85, 42.36, 13.86, 42.37), "Foo", "poi")
-        assert [f.oid for f in fe._collect([encode_packet_stream([zeroed])], q, stats)] == [
-            "zero-ref"
-        ]
+        replies = [(Name(["reply"]), encode_packet_stream([zeroed]))]
+        assert [f.oid for f in fe._collect(replies, q, stats)] == ["zero-ref"]
         assert checked == [_master_name(parse_feature(obj))]
         assert stats.validation_warnings == 0
     finally:
@@ -592,7 +645,7 @@ def test_reference_naming_a_wrong_master_tile_fails_the_query(cluster):
     try:
         q = RangeQuery(BBox.of(13.86, 42.37, 13.87, 42.38), "Foo", "poi")
         with pytest.raises(RangeQueryError) as err:
-            fe._collect([encode_packet_stream([misled])], q, QueryStats())
+            fe._collect([(Name(["reply"]), encode_packet_stream([misled]))], q, QueryStats())
         assert err.value.name == object_name(wrong, "Foo", "poi", "u1", "misled")
     finally:
         fe.delete("misled", "Foo", "poi", "u1", obj["geometry"])
@@ -814,6 +867,52 @@ def test_k_never_changes_results():
                 k: fe.range_query(RangeQuery(box, "Foo", "poi", k=k)).oids for k in (5, 50, 500)
             }
             assert results[5] == results[50] == results[500]
+    finally:
+        cluster.close()
+
+
+def test_interval_query_over_several_periods_matches_the_oracle(monkeypatch):
+    cluster = Cluster(make_spec())
+    try:
+        rng = random.Random(31)
+        fe = cluster.frontend_as("Foo", "poi", "u1")
+        features = []
+        for i in range(80):
+            pts = [(rng.uniform(12.0, 13.99), rng.uniform(41.0, 42.99)) for _ in range(3)]
+            obj = (feature_dict(f"mp{i}", pts, multi=True) if i % 4 == 0
+                   else feature_dict(f"p{i}", pts[0]))
+            if i % 3:  # a third stay timeless; the rest span one period or several
+                a = rng.randrange(0, 80_000)
+                obj["temporalExtent"] = {
+                    "validTime": {"type": "interval", "value": [a, a + rng.randrange(0, 40_000)]}
+                }
+            assert fe.insert(obj).ok
+            features.append(obj)
+        interval = (20_000, 70_000)
+        assert len(temporal_decompose(interval).periods) == 3
+        replies = []
+        real_get = fe.consumer.get
+
+        def recording_get(name, **kw):
+            raw = real_get(name, **kw)
+            if batch_mark(name) == TILE_MARK:
+                replies.append(raw)
+            return raw
+
+        monkeypatch.setattr(fe.consumer, "get", recording_get)
+        boxes = [BBox.of(12.0, 41.0, 13.99, 42.99)]
+        for _ in range(3):
+            cx, cy = rng.uniform(12.0, 13.5), rng.uniform(41.0, 42.5)
+            boxes.append(BBox.of(cx, cy, cx + rng.uniform(0.05, 0.5), cy + rng.uniform(0.05, 0.5)))
+        for mode in ("intersect", "include"):
+            for use_bf in (False, True):
+                for box in boxes:
+                    q = RangeQuery(box, "Foo", "poi", mode=mode, interval=interval, k=20,
+                                   use_bf=use_bf)
+                    assert fe.range_query(q).oids == _oracle(features, q)
+        rows = [[pkt.name for pkt in decode_packet_stream(raw)] for raw in replies]
+        assert sum(map(len, rows)) > len(features)
+        assert all(len(names) == len(set(names)) for names in rows)  # each row sent once
     finally:
         cluster.close()
 

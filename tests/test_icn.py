@@ -32,7 +32,12 @@ from geoshard.icn import (
     tcp_connect,
 )
 from geoshard.icn.faces import MAX_FRAME
-from geoshard.icn.packets import TYPE_DATA, decode_packet_stream, encode_packet_stream
+from geoshard.icn.packets import (
+    TYPE_DATA,
+    decode_packet_stream,
+    encode_packet_stream,
+    split_packet_stream,
+)
 
 
 def test_name_parse_render_roundtrip():
@@ -158,6 +163,15 @@ def test_codec_rejects_every_proper_prefix_and_trailing_bytes(pkt):
         decode_packet_stream(stream[:-1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_interests(), _data()), max_size=4))
+def test_split_packet_stream_gives_each_framed_item(pkts):
+    stream = encode_packet_stream(pkts)
+    items = split_packet_stream(stream)
+    assert b"".join(items) == stream
+    assert [decode_packet_stream(bytes(item)) for item in items] == [[pkt] for pkt in pkts]
+
+
 def _data_wire(*components: bytes) -> bytes:
     """An unsigned, unsegmented, empty Data packet with raw name components."""
     name = struct.pack("!H", len(components)) + b"".join(
@@ -234,6 +248,14 @@ def test_segment_roundtrip_random():
     assert len(segs) == 13
     rng.shuffle(segs)
     assert reassemble(segs) == payload
+
+
+def test_reassemble_refuses_segments_disagreeing_on_the_final_marker():
+    old = segment(Name(["c"]), b"a" * 10, max_payload=2)  # final segment 4
+    new = segment(Name(["c"]), b"b" * 14, max_payload=2)  # final segment 6
+    with pytest.raises(ValueError, match="final segment"):
+        reassemble([old[0], *new[1:]])
+    assert reassemble(new) == b"b" * 14
 
 
 def test_segment_name_split():
