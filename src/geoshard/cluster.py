@@ -13,6 +13,7 @@ the docstring of :func:`parse_cluster_config`.
 from __future__ import annotations
 
 import configparser
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable
@@ -220,7 +221,7 @@ class Cluster:
             client = BloomClient(
                 Consumer(bf_face), interest_signer(self.engine_ids[node]), validator
             )
-            engine.bf_publish = lambda d, b, c=client, n=node: _publish_quietly(c, n, d, b)
+            engine.bf_publish = functools.partial(client.publish, node)
         self._engine_faces[node] = router_fid
         return EngineNode(engine, fwd, bulk_server)
 
@@ -295,13 +296,6 @@ class Cluster:
             except Exception:
                 name = getattr(closer, "__qualname__", repr(closer))
                 log.warning("cluster close: %s failed", name, exc_info=True)
-
-
-def _publish_quietly(client: BloomClient, node: str, direction: int, buckets: list[int]) -> None:
-    try:
-        client.publish(node, direction, buckets)
-    except Exception as exc:
-        log.warning("%s: bloom update not delivered: %s", node, exc)
 
 
 # --- configuration files ------------------------------------------------------

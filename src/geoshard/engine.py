@@ -5,12 +5,14 @@ answers batch Interests, one per front-end request and owned level-0 tile:
 a tile batch lists (tile, period) queries of one data set and is answered
 with one signed container holding the union of their rows, each row once,
 every query's rows served from an invalidating application-layer cache
-when possible; an object batch fetches masters into one signed container.
-A batch is authorized with one access decision on its data set. The
-engine also resolves its own bulk-insert address, applies the
-access-control table to every operation, and keeps a counting Bloom
-filter over (tile-prefix, tenant, collection) groups whose 0->1 / 1->0
-bucket transitions are published to the filter server.
+when possible; an object batch fetches masters into one signed container;
+a delete batch removes the rows of one object under the engine's tiles
+and is answered with one signed container of one status per row. A batch
+is authorized with one access decision. The engine also resolves its own
+bulk-insert address, applies the access-control table to every
+operation, and keeps a counting Bloom filter over (tile-prefix, tenant,
+collection) groups whose 0->1 / 1->0 bucket transitions are published to
+the filter server; a publish that fails is logged and counted.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from geoshard.icn.packets import (
 )
 from geoshard.icn.producer import Producer, ProducerReply
 from geoshard.naming import (
+    BatchInfo,
     DATA_MARK,
     DELETE_MARK,
     IP_RES_MARK,
@@ -43,7 +46,6 @@ from geoshard.naming import (
     TILE_MARK,
     TileQueryInfo,
     batch_mark,
-    parse_delete_name,
     parse_object_batch,
     parse_object_name,
     parse_tile_query_name,
@@ -69,6 +71,7 @@ STATUS_DUPLICATE = 3
 STATUS_MALFORMED = 4
 STATUS_WRONG_SHARD = 5
 
+# statuses of a delete batch reply, one line per listed row
 DELETE_OK = b"OK"
 DELETE_NOT_FOUND = b"NOT-FOUND"
 DELETE_DENIED = b"DENIED"
@@ -102,9 +105,11 @@ class EngineStats:
     denied_inserts: int = 0
     denied_deletes: int = 0
     inserts: int = 0
+    delete_batches: int = 0
     deletes: int = 0
     ip_resolutions: int = 0
     object_fetches: int = 0
+    bf_publish_failures: int = 0
 
 
 class DatabaseEngine:
@@ -152,8 +157,6 @@ class DatabaseEngine:
 
     def handle_interest(self, base: Name, interest: InterestPacket):
         try:
-            if base[-1] == DELETE_MARK:
-                return self.handle_delete(base, interest)
             if base[-1] == IP_RES_MARK:
                 return self.handle_ip_res(base, interest)
             mark = batch_mark(base)
@@ -161,6 +164,8 @@ class DatabaseEngine:
                 return self.handle_tile_query(base, interest)
             if mark == DATA_MARK:
                 return self.handle_object_fetch(base, interest)
+            if mark == DELETE_MARK:
+                return self.handle_delete(base, interest)
         except NameSchemeError as exc:
             log.debug("%s: malformed name %s (%s)", self.config.node_id, base, exc)
             return None
@@ -183,27 +188,42 @@ class DatabaseEngine:
         if self.validator.chain_tenant(cert) != tid:
             raise ValidationError(f"issuer not certified by tenant {tid}")
 
+    def _list_batch(
+        self, base: Name, interest: InterestPacket, mark: str, parse: Callable
+    ) -> tuple[BatchInfo, list[tuple]] | None:
+        """The batch and (name, parse(name)) for every name it lists; None
+        when its level-0 tile is not this engine's.
+
+        Raises NameSchemeError or ValidationError when the batch's digest
+        does not match its parameters, or when any listed name is
+        malformed, lies outside the batch's data set or under a tile this
+        engine does not own.
+        """
+        info = parse_object_batch(base, interest.app_params, mark)
+        if info.tile not in self.config.tiles:
+            return None
+        listed = [(name, parse(name)) for name in info.names]
+        for name, item in listed:
+            if (item.tid, item.cid) != (info.tid, info.cid) or not self.owns(item.tile):
+                raise ValidationError(f"{name} is outside batch {base}")
+        return info, listed
+
     def _open_batch(
         self, base: Name, interest: InterestPacket, mark: str, parse: Callable
     ) -> list[tuple] | None:
-        """(name, parse(name)) for every name a batch Interest lists; None
-        when the batch is not for this engine, or refused (and counted).
+        """(name, parse(name)) for every name a read batch lists; None when
+        the batch is not for this engine, or refused (and counted).
 
-        The batch is refused whole when its digest does not match its
-        parameters, when any listed name is malformed, lies outside the
-        batch's data set or under a tile this engine does not own, or when
+        The batch is refused whole when `_list_batch` refuses it, or when
         the signer may not query the batch's data set. Since every listed
         name lies in that data set, one access decision covers them all:
         the one on the query of the batch's whole level-0 tile.
         """
         try:
-            info = parse_object_batch(base, interest.app_params, mark)
-            if info.tile not in self.config.tiles:
+            batch = self._list_batch(base, interest, mark, parse)
+            if batch is None:
                 return None
-            listed = [(name, parse(name)) for name in info.names]
-            for name, item in listed:
-                if (item.tid, item.cid) != (info.tid, info.cid) or not self.owns(item.tile):
-                    raise ValidationError(f"{name} is outside batch {base}")
+            info, listed = batch
             scope = tile_query_name(info.tile, info.tid, info.cid)
             self._authorize(interest, AccessOp.QUERY, scope, info.tid)
         except (ValidationError, NameSchemeError) as exc:
@@ -362,36 +382,60 @@ class DatabaseEngine:
         return STATUS_OK
 
     def handle_delete(self, base: Name, interest: InterestPacket):
-        info = parse_delete_name(base)
-        if not self.owns(info.tile):
-            return None
+        """Delete the rows a delete batch lists, all of one object; reply
+        with one signed container of one status per listed row, in order.
+
+        The batch is refused whole (no reply, counted) when `_list_batch`
+        refuses it, or when it does not list the rows of exactly one object
+        (tid, cid, uid, oid). One access decision, on a listed row, then
+        covers every row; on denial each row gets DENIED and none is
+        removed. The 1->0 Bloom transitions of the batch are published
+        once. The reply is one packet, never segmented: a segment Interest
+        would run the batch again.
+        """
+        self.stats.delete_batches += 1
         try:
-            self._authorize(interest, AccessOp.DELETE, base, info.tid)
+            batch = self._list_batch(base, interest, DELETE_MARK, parse_object_name)
+            if batch is None:
+                return None
+            info, listed = batch
+            if len({(o.tid, o.cid, o.uid, o.oid) for _, o in listed}) != 1:
+                raise ValidationError(f"batch {base} does not list the rows of one object")
+        except (ValidationError, NameSchemeError) as exc:
+            self.stats.denied_deletes += 1
+            log.debug("%s: delete batch %s refused: %s", self.config.node_id, base, exc)
+            return None
+        names = [name for name, _ in listed]
+        try:
+            self._authorize(interest, AccessOp.DELETE, names[0], info.tid)
         except ValidationError as exc:
             self.stats.denied_deletes += 1
             log.debug("%s: delete denied for %s: %s", self.config.node_id, base, exc)
-            return ProducerReply(DELETE_DENIED, freshness_ms=0, sign=self._sign)
-        oname = base[:-1]
-        downs: list[int] = []
-        with self._state:
-            row = self.objects.pop(oname, None)
-            if row is None:
-                status = DELETE_NOT_FOUND
-            else:
-                prefix = route_prefix(row.tile)
-                group_key = (prefix, row.tid, row.cid)
-                group = self._groups.get(group_key)
-                if group is not None:
-                    group.discard(oname)
-                    if not group:
-                        del self._groups[group_key]
-                        if self.cbf is not None:
-                            downs.extend(self.cbf.remove(bf_key(str(prefix), row.tid, row.cid)))
-                self._invalidate(prefix)
-                self.stats.deletes += 1
-                status = DELETE_OK
-        self._publish(1, downs)
-        return ProducerReply(status, freshness_ms=0, sign=self._sign)
+            statuses = [DELETE_DENIED] * len(names)
+        else:
+            downs: list[int] = []
+            with self._state:
+                statuses = [self._delete_one(name, downs) for name in names]
+            self._publish(1, downs)
+        payload = b"\n".join(statuses)
+        return ProducerReply(payload, freshness_ms=0, sign=self._sign, max_payload=len(payload))
+
+    def _delete_one(self, oname: Name, downs: list[int]) -> bytes:
+        """Remove one row; called under `_state`."""
+        row = self.objects.pop(oname, None)
+        if row is None:
+            return DELETE_NOT_FOUND
+        prefix = route_prefix(row.tile)
+        group_key = (prefix, row.tid, row.cid)
+        group = self._groups[group_key]
+        group.discard(oname)
+        if not group:
+            del self._groups[group_key]
+            if self.cbf is not None:
+                downs.extend(self.cbf.remove(bf_key(str(prefix), row.tid, row.cid)))
+        self._invalidate(prefix)
+        self.stats.deletes += 1
+        return DELETE_OK
 
     def _invalidate(self, prefix: Name) -> None:
         stale = self._qdata_by_prefix.pop(prefix, None)
@@ -402,8 +446,13 @@ class DatabaseEngine:
 
     def _publish(self, direction: int, buckets: list[int]) -> None:
         # outside the state lock: publishing travels the fabric
-        if buckets and self.bf_publish is not None:
+        if not buckets or self.bf_publish is None:
+            return
+        try:
             self.bf_publish(direction, buckets)
+        except Exception as exc:
+            self.stats.bf_publish_failures += 1
+            log.warning("%s: bloom update not delivered: %s", self.config.node_id, exc)
 
     # --- introspection -----------------------------------------------------------
 

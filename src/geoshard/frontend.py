@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from geoshard.bloomsvc import SERVER_UID
+from geoshard.engine import DELETE_DENIED, DELETE_NOT_FOUND, DELETE_OK
 from geoshard.geogrid import (
     BBox,
     Feature,
@@ -73,9 +74,9 @@ from geoshard.icn.consumer import Consumer, GetTimeoutError
 from geoshard.icn.names import Name
 from geoshard.icn.packets import DataPacket, Packet, decode_packet_stream
 from geoshard.naming import (
+    DELETE_MARK,
     SYSTEM_DID,
     TILE_MARK,
-    delete_name,
     ip_res_name,
     object_batch,
     object_name,
@@ -509,28 +510,36 @@ class Frontend:
     # --- delete -----------------------------------------------------------------
 
     def delete(self, oid: str, tid: str, cid: str, uid: str, geometry) -> DeleteReport:
-        """One delete command per intersecting tile at every level.
+        """One delete batch per owning engine, listing the object's rows in
+        the level-0 tiles it owns: one row per intersecting tile at every
+        level.
 
         The geometry (a Geometry or a GeoJSON geometry object) is required to
-        enumerate the tiles the object was replicated to.
+        enumerate the tiles the object was replicated to. The report holds
+        one status per row; the rows of a batch that timed out read TIMEOUT.
+        A reply whose statuses do not match its rows raises ValidationError.
         """
         geom = geometry if isinstance(geometry, Geometry) else _parse_geometry(geometry)
         fake = Feature(oid, tid, uid, cid, geom, None, {}, {})
-        per_tile: list[tuple[Name, str]] = []
+        by_owner: dict[TileId, list[Name]] = {}
         for tile in replication_tiles(fake):
-            oname = object_name(tile, tid, cid, uid, oid)
-            dname = delete_name(oname)
+            by_owner.setdefault(level0(tile), []).append(object_name(tile, tid, cid, uid, oid))
+        per_tile: list[tuple[Name, str]] = []
+        for owner, rows in sorted(by_owner.items()):
+            name, params = object_batch(owner, tid, cid, rows, DELETE_MARK)
             try:
                 raw = self.consumer.get(
-                    dname,
+                    name,
                     lifetime_ms=self.lifetime_ms,
                     retries=self.retries,
                     sign=self._sign_interest,
+                    app_params=params,
                     validate=self._verify_engine_reply,
                 )
-                per_tile.append((oname, raw.decode()))
             except GetTimeoutError:
-                per_tile.append((oname, "TIMEOUT"))
+                per_tile.extend((row, "TIMEOUT") for row in rows)
+                continue
+            per_tile.extend(zip(rows, _delete_statuses(name, raw, len(rows))))
         return DeleteReport(oid, per_tile)
 
     def close(self) -> None:
@@ -552,6 +561,17 @@ def _decode_reply(name: Name, raw: bytes) -> list[Packet]:
         return decode_packet_stream(raw)
     except ValueError as exc:
         raise RangeQueryError(name, f"malformed reply: {exc}") from None
+
+
+_DELETE_STATUSES = {DELETE_OK, DELETE_NOT_FOUND, DELETE_DENIED}
+
+
+def _delete_statuses(name: Name, raw: bytes, rows: int) -> list[str]:
+    """The statuses of delete batch `name`'s reply, one per listed row."""
+    statuses = raw.split(b"\n")
+    if len(statuses) != rows or not _DELETE_STATUSES.issuperset(statuses):
+        raise ValidationError(f"delete batch {name}: reply is not one known status per row")
+    return [s.decode() for s in statuses]
 
 
 def _object_key(pkt) -> ObjectKey:

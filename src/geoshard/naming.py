@@ -6,10 +6,10 @@
   batch     ndn:/<level-0 route prefix>/<mark>/<tid>/<cid>/<digest>
             sent to the engine that owns the level-0 tile; the Interest's
             application parameters list object names (mark DATA: fetch
-            those objects) or query names (mark TILE: answer those tile
-            queries), and <digest> is the SHA-256 of those parameters
+            those objects; mark DELETE: delete those rows of one object)
+            or query names (mark TILE: answer those tile queries), and
+            <digest> is the SHA-256 of those parameters
   address   ndn:/<tile-prefix>/IP-RES
-  delete    <object name>/DELETE
   key loc.  ndn:/CERT/<did>/<uid>/<permission>
 
 These are the only schemes; a name that fits none of them is refused with
@@ -69,17 +69,17 @@ def object_batch(
     tile: TileId, tid: str, cid: str, names: Iterable[Name], mark: str = DATA_MARK
 ) -> tuple[Name, bytes]:
     """(batch name, application parameters) listing `names` for the engine
-    that owns level-0 `tile`: objects to fetch (DATA) or tile queries to
-    answer (TILE)."""
+    that owns level-0 `tile`: objects to fetch (DATA), rows to delete
+    (DELETE) or tile queries to answer (TILE)."""
     params = json.dumps([list(n.components) for n in names]).encode()
     name = route_prefix(tile).append(mark, tid, cid, sha256(params).hexdigest())
     return name, params
 
 
 def batch_mark(name: Name) -> str | None:
-    """DATA or TILE for a batch name, None for a name in any other scheme."""
+    """DATA, DELETE or TILE for a batch name, None for a name in any other scheme."""
     c = name.components
-    return c[3] if len(c) == 7 and c[3] in (DATA_MARK, TILE_MARK) else None
+    return c[3] if len(c) == 7 and c[3] in (DATA_MARK, DELETE_MARK, TILE_MARK) else None
 
 
 def tile_query_name(
@@ -95,10 +95,6 @@ def tile_query_name(
 
 def ip_res_name(tile: TileId) -> Name:
     return tile_prefix(tile) / IP_RES_MARK
-
-
-def delete_name(oname: Name) -> Name:
-    return oname / DELETE_MARK
 
 
 def key_locator_name(did: str, uid: str, permission: str) -> Name:
@@ -209,9 +205,3 @@ def parse_object_batch(name: Name, params: bytes | None, mark: str) -> BatchInfo
     except (TypeError, ValueError) as exc:
         raise NameSchemeError(f"bad parameters of {name}: {exc}") from None
     return BatchInfo(tile, c[4], c[5], names)
-
-
-def parse_delete_name(name: Name) -> ObjectNameInfo:
-    if not len(name) or name[-1] != DELETE_MARK:
-        raise NameSchemeError(f"not a delete command: {name}")
-    return parse_object_name(name[:-1])

@@ -11,8 +11,9 @@ HMAC-SHA256 stand-in whose "public key" is the shared secret - symmetric,
 test/benchmark use only.
 
 Access control (:func:`check_access`) reads the data set and owner from the
-object, tile-query and delete names of :mod:`geoshard.naming`; a name in
-no such scheme is refused for every operation.
+object and tile-query names of :mod:`geoshard.naming` (an insert or a
+delete names an object); a name in no such scheme is refused for every
+operation.
 
 Which signature vouches for which fact, after the trust-schema rules of Yu
 et al. ("Schematizing Trust in Named Data Networking", ICN 2015):
@@ -70,7 +71,6 @@ from geoshard.naming import (
     KeyLocatorInfo,
     NameSchemeError,
     key_locator_name,
-    parse_delete_name,
     parse_key_locator,
     parse_object_name,
     parse_tile_query_name,
@@ -511,14 +511,11 @@ def _target_ids(op: AccessOp, target: Name) -> tuple[str, str | None]:
 
     Raises NameSchemeError for a target outside the schemes of `naming`.
     """
-    if op is AccessOp.INSERT:
-        info = parse_object_name(target)
-        return info.did, info.uid
     if op is AccessOp.QUERY:
         if DATA_MARK in target.components:  # an object read by a batch fetch
             return parse_object_name(target).did, None
         return parse_tile_query_name(target).did, None
-    info = parse_delete_name(target)
+    info = parse_object_name(target)  # the object inserted or deleted
     return info.did, info.uid
 
 

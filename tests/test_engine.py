@@ -4,6 +4,7 @@ import struct
 import pytest
 
 import geoshard.engine as engine_mod
+from geoshard.bloom import bf_key, bucket_indices
 from geoshard.engine import (
     BulkInsertClient,
     BulkInsertServer,
@@ -32,13 +33,14 @@ from geoshard.icn.packets import (
     segment_name,
 )
 from geoshard.naming import (
+    DELETE_MARK,
     TILE_MARK,
-    delete_name,
     ip_res_name,
     object_batch,
     object_name,
     parse_object_name,
     parse_tile_query_name,
+    route_prefix,
     tile_query_name,
 )
 from geoshard.objects import build_object_packets, decode_object_payload
@@ -78,6 +80,12 @@ def select_names(engine, tile, tid, cid, period=None):
 def tile_batch(tile, tid, cid, period=None):
     """(batch name, parameters) of a one-tile batch to the owner of `tile`."""
     return object_batch(level0(tile), tid, cid, [tile_query_name(tile, tid, cid, period)], TILE_MARK)
+
+
+def delete_batch(names, signer, owner=TileId.at(0, 12, 41)):
+    """(batch name, signed Interest) of a delete batch listing `names`."""
+    name, params = object_batch(owner, "Foo", "poi", names, DELETE_MARK)
+    return name, sign_interest(signer, InterestPacket(name, app_params=params))
 
 
 class Env:
@@ -125,6 +133,11 @@ class Env:
         if reply is None:
             return None
         return decode_packet_stream(reassemble(reply))
+
+    def delete(self, names, user="u1"):
+        """The statuses of a delete batch listing `names`, or None if refused."""
+        reply = self.engine.handle_delete(*delete_batch(names, self.users[user]))
+        return None if reply is None else reply.payload.split(b"\n")
 
 
 def test_insert_then_tile_query_returns_both_owners():
@@ -429,22 +442,89 @@ def test_read_only_user_cannot_insert():
 
 def test_delete_flow():
     env = Env()
-    env.insert_feature(feature_dict("gone", (12.6, 41.6)))
+    _, packets = env.insert_feature(feature_dict("gone", (12.6, 41.6)))
+    rows = [p.name for _, p in packets]
     tile = TileId.at(2, 12.6, 41.6)
-    oname = object_name(tile, "Foo", "poi", "u1", "gone")
-    dname = delete_name(oname)
 
-    # another user's deletion attempt is denied with a status reply
-    denied = env.engine.handle_delete(dname, sign_interest(env.users["u2"], InterestPacket(dname)))
-    assert denied.payload == DELETE_DENIED
+    # another user's batch is denied row by row, with one decision, and removes nothing
+    assert env.delete(rows, user="u2") == [DELETE_DENIED] * 3
     assert env.engine.stats.denied_deletes == 1
+    assert set(rows) <= env.engine.objects.keys()
 
-    ok = env.engine.handle_delete(dname, sign_interest(env.users["u1"], InterestPacket(dname)))
-    assert ok.payload == DELETE_OK
+    assert env.delete(rows) == [DELETE_OK] * 3
     assert env.query(tile) == []
+    assert env.engine.objects == {}
+    assert env.engine.stats.deletes == 3
 
-    again = env.engine.handle_delete(dname, sign_interest(env.users["u1"], InterestPacket(dname)))
-    assert again.payload == DELETE_NOT_FOUND
+    # already deleted
+    assert env.delete(rows) == [DELETE_NOT_FOUND] * 3
+    assert env.delete(rows[:1]) == [DELETE_NOT_FOUND]
+    assert env.engine.stats.delete_batches == 4
+
+
+@pytest.mark.parametrize("case", [
+    "wrong digest", "two oids", "two uids", "malformed name", "another engine's tile",
+    "another collection",
+])
+def test_delete_batch_refused_whole(case):
+    env = Env()
+    _, packets = env.insert_feature(feature_dict("a", (12.6, 41.6)))
+    env.insert_feature(feature_dict("b", (12.61, 41.61)))
+    env.insert_feature(feature_dict("a", (12.62, 41.62), uid="u2"), user="u2")
+    rows = [p.name for _, p in packets]
+    stored = set(env.engine.objects)
+    tile = TileId.at(2, 12.61, 41.61)
+    extra = {
+        "two oids": object_name(tile, "Foo", "poi", "u1", "b"),
+        "two uids": object_name(TileId.at(2, 12.62, 41.62), "Foo", "poi", "u2", "a"),
+        "malformed name": Name(["not", "an", "object"]),
+        "another engine's tile": object_name(TileId.at(2, 13.6, 41.6), "Foo", "poi", "u1", "a"),
+        "another collection": object_name(tile, "Foo", "bus", "u1", "a"),
+    }
+    name, interest = delete_batch(rows + [extra.get(case, rows[0])], env.users["u1"])
+    if case == "wrong digest":
+        _, params = object_batch(TileId.at(0, 12, 41), "Foo", "poi", rows[:1], DELETE_MARK)
+        interest = sign_interest(env.users["u1"], InterestPacket(name, app_params=params))
+    assert env.engine.handle_interest(name, interest) is None
+    assert env.engine.stats.denied_deletes == 1
+    assert set(env.engine.objects) == stored
+
+
+def test_delete_batch_for_a_tile_not_owned_is_ignored():
+    env = Env()
+    oname = object_name(TileId.at(2, 13.6, 41.6), "Foo", "poi", "u1", "a")
+    name, interest = delete_batch([oname], env.users["u1"], owner=TileId.at(0, 13, 41))
+    assert env.engine.handle_delete(name, interest) is None
+    assert env.engine.stats.denied_deletes == 0
+
+
+def test_delete_batch_emptying_two_groups_publishes_once():
+    env = Env(bf=(256, 3))
+    _, packets = env.insert_feature(feature_dict("f1", (12.9, 41.9)))
+    env.insert_feature(feature_dict("f2", (12.15, 41.15)))  # shares only the level-0 group
+    published = []
+    env.engine.bf_publish = lambda direction, buckets: published.append((direction, set(buckets)))
+    assert env.delete([p.name for _, p in packets]) == [DELETE_OK] * 3
+    assert len(published) == 1
+    direction, buckets = published[0]
+    assert direction == 1
+    emptied = [bf_key(str(route_prefix(t)), "Foo", "poi") for t, _ in packets if t.level]
+    assert all(key not in env.engine.cbf for key in emptied)
+    # the one update clears only buckets of the two emptied groups
+    m, h = env.engine.config.bf_params
+    assert buckets and buckets <= {b for key in emptied for b in bucket_indices(key, m, h)}
+
+
+def test_failed_bloom_publish_is_counted_and_the_delete_still_succeeds():
+    env = Env(bf=(256, 3))
+    _, packets = env.insert_feature(feature_dict("f1", (12.9, 41.9)))
+
+    def unreachable(direction, buckets):
+        raise TimeoutError("filter server unreachable")
+
+    env.engine.bf_publish = unreachable
+    assert env.delete([p.name for _, p in packets]) == [DELETE_OK] * 3
+    assert env.engine.stats.bf_publish_failures == 1
 
 
 def test_select_names_per_level_and_tenant():
@@ -496,10 +576,10 @@ def test_cbf_transitions_published():
     # same level-1/level-0 groups stay non-void; only the new level-2 group fires
     assert len(published) == 1
     published.clear()
-    dn = delete_name(object_name(TileId.at(2, 12.9, 41.9), "Foo", "poi", "u1", "f1"))
-    env.engine.handle_delete(dn, sign_interest(env.users["u1"], InterestPacket(dn)))
+    f1 = [n for n in env.engine.objects if n[-1] == "f1"]
+    assert env.delete(f1) == [DELETE_OK] * 3
     downs = [p for p in published if p[0] == 1]
-    assert len(downs) == 1  # that level-2 group is void again
+    assert len(downs) == 1  # only f1's level-2 group is void again
 
 
 def test_ip_res_reply():

@@ -36,9 +36,10 @@ from geoshard.naming import (
     BF_MEMBER_PREFIX,
     BF_PREFIX,
     DATA_MARK,
+    DELETE_MARK,
     TILE_MARK,
     batch_mark,
-    delete_name,
+    object_batch,
     object_name,
     route_prefix,
 )
@@ -161,6 +162,68 @@ def test_delete_sends_one_command_per_tile(cluster):
                       {"type": "Point", "coordinates": [12.31, 41.31]})
     assert not again.ok
     assert {s for _, s in again.per_tile} == {"NOT-FOUND"}
+
+
+def test_multipoint_across_two_engines_is_deleted_with_one_batch_each():
+    cluster = Cluster(make_spec())
+    try:
+        fe = cluster.frontend_as("Foo", "poi", "u1")
+        kept = feature_dict("kept", (12.25, 41.25))
+        gone = feature_dict("gone", [(12.2, 41.2), (13.7, 41.7), (13.71, 41.71)], multi=True)
+        assert fe.insert(kept).ok and fe.insert(gone).ok
+        report = fe.delete("gone", "Foo", "poi", "u1", gone["geometry"])
+        # e1 and e2, each listing its own rows
+        assert sum(e.engine.stats.delete_batches for e in cluster.engines.values()) == 2
+        assert report.ok and len(report.per_tile) == 7
+        assert {n[-1] for n, _ in report.per_tile} == {"gone"}
+        for e in cluster.engines.values():
+            assert not [r for r in e.engine.objects.values() if r.oid == "gone"]
+        q = RangeQuery(BBox.of(12.0, 41.0, 13.99, 41.99), "Foo", "poi")
+        assert fe.range_query(q).oids == _oracle([kept], q) == {"kept"}
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("reply", [
+    b"\n".join([DELETE_OK] * 2),  # one status short
+    b"\n".join([DELETE_OK, b"GONE", DELETE_OK]),  # an unknown status
+])
+def test_delete_reply_not_matching_its_rows_fails_the_delete(monkeypatch, reply):
+    cluster = Cluster(make_spec())
+    try:
+        fe = cluster.frontend_as("Foo", "poi", "u1")
+        point = {"type": "Point", "coordinates": [12.33, 41.33]}
+        assert fe.insert(feature_dict("miscounted", (12.33, 41.33))).ok
+        engine = cluster.engine("e1")
+        real = engine.handle_delete
+
+        def rewritten(base, interest):
+            real(base, interest)
+            return ProducerReply(reply, sign=engine._sign)
+
+        monkeypatch.setattr(engine, "handle_delete", rewritten)
+        with pytest.raises(ValidationError) as err:
+            fe.delete("miscounted", "Foo", "poi", "u1", point)
+        assert str(route_prefix(TileId.at(0, 12, 41)) / DELETE_MARK) in str(err.value)
+    finally:
+        cluster.close()
+
+
+def test_timed_out_delete_batch_marks_its_rows(monkeypatch):
+    cluster = Cluster(make_spec())
+    try:
+        fe = cluster.frontend_as("Foo", "poi", "u1")
+        geometry = {"type": "MultiPoint", "coordinates": [[12.34, 41.34], [13.34, 41.34]]}
+        assert fe.insert(feature_dict("silent", [(12.34, 41.34), (13.34, 41.34)], multi=True)).ok
+        monkeypatch.setattr(cluster.engine("e2"), "handle_delete", lambda base, interest: None)
+        report = fe.delete("silent", "Foo", "poi", "u1", geometry)
+        owner = {n: n.prefix(3) for n, _ in report.per_tile}
+        e1 = route_prefix(TileId.at(0, 12, 41))
+        assert {s for n, s in report.per_tile if owner[n] == e1} == {"OK"}
+        assert {s for n, s in report.per_tile if owner[n] != e1} == {"TIMEOUT"}
+        assert len(report.per_tile) == 6 and not report.ok
+    finally:
+        cluster.close()
 
 
 def test_delete_other_user_denied_everywhere(cluster):
@@ -322,9 +385,10 @@ def test_master_missing_from_batch_fails_the_query(cluster):
     point = {"type": "Point", "coordinates": [13.45, 41.55]}
     fe.insert(feature_dict("orphan", (13.45, 41.55)))
     master = object_name(TileId.at(2, 13.45, 41.55), "Foo", "poi", "u1", "orphan")
-    dname = delete_name(master)
+    name, params = object_batch(TileId.at(0, 13, 41), "Foo", "poi", [master], DELETE_MARK)
     user = cluster.user_ids[("Foo", "poi", "u1")]
-    reply = cluster.engine("e2").handle_delete(dname, sign_interest(user, InterestPacket(dname)))
+    interest = sign_interest(user, InterestPacket(name, app_params=params))
+    reply = cluster.engine("e2").handle_delete(name, interest)
     assert reply.payload == DELETE_OK
     try:
         # the level-1 tile answers for this box, with a reference to the deleted master

@@ -11,7 +11,7 @@ from geoshard.icn import Consumer, Fabric, InterestPacket, Name, Producer
 from geoshard.icn.clock import ManualClock
 from geoshard.icn.packets import DataPacket
 from geoshard.geogrid import TileId
-from geoshard.naming import delete_name, key_locator_name, object_name, tile_query_name
+from geoshard.naming import key_locator_name, object_name, tile_query_name
 import geoshard.trust as trust_mod
 from geoshard.trust import (
     VERIFIED_MEMO_SIZE,
@@ -303,14 +303,13 @@ KL_RW = key_locator_name("Foo.poi", "u1", "rw")
 KL_R = key_locator_name("Foo.poi", "u1", "r")
 O_NAME = object_name(TILE, "Foo", "poi", "u1", "o1")
 Q_NAME = tile_query_name(TILE, "Foo", "poi")
-D_NAME = delete_name(O_NAME)
 
 
 def test_access_table_allow_rows():
     assert check_access(AccessOp.INSERT, O_NAME, KL_RW).allow
     assert check_access(AccessOp.QUERY, Q_NAME, key_locator_name("Foo.poi", "u2", "r")).allow
     assert check_access(AccessOp.QUERY, Q_NAME, KL_RW).allow
-    assert check_access(AccessOp.DELETE, D_NAME, KL_RW).allow
+    assert check_access(AccessOp.DELETE, O_NAME, KL_RW).allow
 
 
 @pytest.mark.parametrize(
@@ -326,10 +325,10 @@ def test_access_table_allow_rows():
         (AccessOp.QUERY, Q_NAME, KL_R, True),
         (AccessOp.QUERY, Q_NAME, key_locator_name("Foo.poi", "other", "rw"), True),
         # delete mirrors insert
-        (AccessOp.DELETE, delete_name(object_name(TILE, "Foo", "bus", "u1", "o1")), KL_RW, False),
-        (AccessOp.DELETE, delete_name(object_name(TILE, "Foo", "poi", "u2", "o1")), KL_RW, False),
-        (AccessOp.DELETE, D_NAME, KL_R, False),
-        (AccessOp.DELETE, D_NAME, KL_RW, True),
+        (AccessOp.DELETE, object_name(TILE, "Foo", "bus", "u1", "o1"), KL_RW, False),
+        (AccessOp.DELETE, object_name(TILE, "Foo", "poi", "u2", "o1"), KL_RW, False),
+        (AccessOp.DELETE, O_NAME, KL_R, False),
+        (AccessOp.DELETE, O_NAME, KL_RW, True),
     ],
 )
 def test_access_table_matrix(op, target, kl, expect):
@@ -341,7 +340,7 @@ def test_access_table_matrix(op, target, kl, expect):
     [
         (AccessOp.INSERT, Name(["d", "Foo.poi", "u1", "o1"])),
         (AccessOp.QUERY, Name(["d", "Foo.poi", "surname=Detti"])),
-        (AccessOp.DELETE, Name(["d", "Foo.poi", "u1", "o1", "DELETE"])),
+        (AccessOp.DELETE, Name(["d", "Foo.poi", "u1", "o1"])),
     ],
 )
 def test_access_refuses_names_outside_the_ogb_schemes(op, target):
