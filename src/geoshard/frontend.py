@@ -26,10 +26,24 @@ front-end's memo of verified signatures (see :mod:`geoshard.trust`) answers
 a reply segment or a master it has already verified, while certificate,
 chain, validity window and owner checks run on every packet.
 
-A reference is never returned; it only says which master to fetch, so the
+A reference is never returned; it only says which master to use, so the
 engine-signed reply that carries it vouches for it and it has no owner
-check of its own. A reference that names a wrong master tile cannot shorten
-a result: its master is then missing from the batch, and the query fails.
+check of its own. It pins its master by name and by digest (see
+:mod:`geoshard.objects`). Each front-end keeps a store of verified masters:
+at most MASTER_STORE_SIZE masters fetched in a master batch whose wire
+bytes had the digest their reference pins, least recently used out first.
+A reference whose (master name, digest) is in the store resolves from it
+without a master batch. A hit skips only that round trip: the stored
+master still takes the exact match and the provenance check, with its
+chain, validity window, owner and tenant. Masters found in tile replies
+are not hashed and do not enter the store. A reference that names a wrong
+master tile, or whose fetched master has another digest, cannot shorten a
+result: its master is then missing, and the query fails.
+
+A hit does not ask the engine whether the master row still exists. A delete
+batch that timed out can leave references to a deleted master behind; a
+front-end whose store holds that master still returns the half-deleted
+object, while one that does not fails the query, its master missing.
 
 The post-filter keeps one copy per object identity (tid, cid, uid, oid) and
 tests each copy of an unresolved identity in this order, cheapest first:
@@ -42,10 +56,11 @@ tests each copy of an unresolved identity in this order, cheapest first:
 3. provenance, masters only: the owner's signature and certificate chain.
 
 A copy that fails a step is dropped without settling its identity, so
-later copies stay eligible. The masters of the references that pass are
-fetched with one batch Interest per owning engine; each takes the exact
-match and then the provenance check. A master that its engine does not
-return fails the query.
+later copies stay eligible. The masters of the references that pass come
+from the store, or else are fetched with one batch Interest per owning
+engine; each takes the exact match and then the provenance check. A master
+that its engine does not return, or returns with another digest, fails
+the query.
 """
 
 from __future__ import annotations
@@ -72,7 +87,7 @@ from geoshard.geogrid import (
 from geoshard.icn.clock import system_clock
 from geoshard.icn.consumer import Consumer, GetTimeoutError
 from geoshard.icn.names import Name
-from geoshard.icn.packets import DataPacket, Packet, decode_packet_stream
+from geoshard.icn.packets import DataPacket, Packet, decode_packet_stream, encode_packet
 from geoshard.naming import (
     DELETE_MARK,
     SYSTEM_DID,
@@ -89,12 +104,14 @@ from geoshard.objects import (
     build_object_packets,
     decode_object_payload,
     geometry_extent,
+    master_digest,
     replication_tiles,
 )
 from geoshard.tessellate import PeriodSet, constrained_tessellation, temporal_decompose
 from geoshard.trust import (
     Certificate,
     Identity,
+    LruStore,
     ValidationError,
     Validator,
     VerifiedMemo,
@@ -106,6 +123,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_K = 50
 ODATA_FRESHNESS_MS = 3_600_000  # freshness of the object packets an insert signs
+MASTER_STORE_SIZE = 2048  # verified masters a front-end holds, by (name, digest)
 
 
 class RangeQueryError(Exception):
@@ -151,6 +169,8 @@ class QueryStats:
     subqueries: int = 0
     validation_warnings: int = 0
     bf_fallback: bool = False
+    master_hits: int = 0  # references resolved from the store of verified masters
+    master_fetches: int = 0  # master names sent in master batches
 
 
 @dataclass
@@ -229,7 +249,8 @@ class Frontend:
 
     Every request runs on the calling thread: a front-end starts no thread.
     `close` closes its bulk transports. `verified` is its memo of verified
-    signatures, with hit and miss counts.
+    signatures and `masters` its store of fetched masters that matched the
+    digest their reference pins, each with hit and miss counts.
     """
 
     def __init__(
@@ -258,6 +279,7 @@ class Frontend:
         self._transports: dict[str, BulkTransport] = {}
         self._lock = threading.Lock()
         self.verified = VerifiedMemo()
+        self.masters = LruStore(MASTER_STORE_SIZE)
 
     # --- validation helpers --------------------------------------------------
 
@@ -390,10 +412,13 @@ class Frontend:
         Each copy of an unresolved identity is tested against `q`; a master
         is then provenance-checked, while a reference is vouched for by the
         engine-signed reply that carried it. A copy that fails a test leaves
-        later copies eligible.
+        later copies eligible. A reference's master comes from the store of
+        verified masters when its (name, digest) is there, else from a
+        master batch; either way it takes the exact match and the
+        provenance check.
         """
         features: dict[ObjectKey, Feature] = {}
-        refs: dict[ObjectKey, TileId] = {}  # identity -> master's level-2 tile
+        refs: dict[ObjectKey, tuple[TileId, bytes]] = {}  # identity -> master's tile, digest
         for name, raw in replies:
             for pkt in _decode_reply(name, raw):
                 try:
@@ -406,10 +431,10 @@ class Frontend:
                     if not temporal_match(payload.valid_time, q.interval):
                         continue
                     if payload.is_reference:
-                        extent, master_tile = payload.reference()
+                        extent, master_tile, digest = payload.reference()
                         if not extent_match(extent, q.bbox, q.mode):
                             continue
-                        refs[key] = master_tile
+                        refs[key] = master_tile, digest
                     else:
                         feature = parse_feature(payload.body)
                         if not _matches(feature, q):
@@ -419,45 +444,66 @@ class Frontend:
                 except (ValidationError, ValueError) as exc:
                     stats.validation_warnings += 1
                     log.warning("dropping object %s: %s", pkt.name, exc)
-        pending = {
-            object_name(tile, *key): key for key, tile in refs.items() if key not in features
-        }
-        if pending:
-            features.update(self._fetch_masters(pending, q, stats))
+        masters: dict[ObjectKey, DataPacket] = {}
+        missing: dict[Name, tuple[ObjectKey, bytes]] = {}
+        for key, (tile, digest) in refs.items():
+            if key in features:
+                continue
+            master_name = object_name(tile, *key)
+            pkt = self.masters.get((master_name, digest))
+            if pkt is None:
+                missing[master_name] = key, digest
+            else:
+                masters[key] = pkt
+        stats.master_hits += len(masters)
+        if missing:
+            masters.update(self._fetch_masters(missing, stats))
+        for key, pkt in masters.items():
+            try:
+                feature = parse_feature(decode_object_payload(pkt.payload).body)
+                if not _matches(feature, q):
+                    continue
+                self._check_provenance(pkt)
+                features[key] = feature
+            except (ValidationError, ValueError) as exc:
+                stats.validation_warnings += 1
+                log.warning("dropping master %s: %s", pkt.name, exc)
         return list(features.values())
 
     def _fetch_masters(
-        self, missing: dict[Name, ObjectKey], q: RangeQuery, stats: QueryStats
-    ) -> dict[ObjectKey, Feature]:
-        """Fetch masters with one batch per (owning level-0 tile, tid, cid);
-        keep those matching `q`.
+        self, missing: dict[Name, tuple[ObjectKey, bytes]], stats: QueryStats
+    ) -> dict[ObjectKey, DataPacket]:
+        """Fetch masters with one batch per (owning level-0 tile, tid, cid).
 
-        Pops each master that comes back from `missing`; any left over fail
-        the query.
+        `missing` maps each master's name to its identity and the digest its
+        reference pins. A returned master whose wire bytes have that digest
+        is popped from `missing` and enters the store of verified masters;
+        any name left over fails the query.
         """
+        stats.master_fetches += len(missing)
         batches: dict[tuple[TileId, str, str], list[Name]] = {}
         for master in sorted(missing):
             info = parse_object_name(master)
             batches.setdefault((level0(info.tile), info.tid, info.cid), []).append(master)
         requests = [object_batch(*group, names) for group, names in batches.items()]
-        found: dict[ObjectKey, Feature] = {}
+        found: dict[ObjectKey, DataPacket] = {}
         for name, raw in self._fetch_all(requests):
             for pkt in _decode_reply(name, raw):
-                key = missing.pop(pkt.name, None) if isinstance(pkt, DataPacket) else None
                 try:
-                    if key is None:
+                    if not isinstance(pkt, DataPacket) or pkt.name not in missing:
                         raise ValidationError(f"unrequested packet {pkt.name}")
-                    payload = decode_object_payload(pkt.payload)
-                    if payload.is_reference:
+                    if decode_object_payload(pkt.payload).is_reference:
                         raise ValidationError(f"{pkt.name} is a reference, not a master")
-                    feature = parse_feature(payload.body)
-                    if not _matches(feature, q):
-                        continue
-                    self._check_provenance(pkt)
-                    found[key] = feature
+                    key, digest = missing[pkt.name]
+                    if master_digest(encode_packet(pkt)) != digest:
+                        raise ValidationError(f"{pkt.name} lacks the digest its reference pins")
                 except (ValidationError, ValueError) as exc:
                     stats.validation_warnings += 1
                     log.warning("dropping master %s: %s", pkt.name, exc)
+                    continue
+                del missing[pkt.name]
+                self.masters.put((pkt.name, digest), pkt)
+                found[key] = pkt
         if missing:
             raise RangeQueryError(min(missing), f"master not returned ({len(missing)} missing)")
         return found

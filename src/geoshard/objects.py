@@ -6,30 +6,36 @@ carries the GeoJSON bytes; every other intersecting tile, at every level,
 holds a reference. The payload header also carries the optional validity
 interval so engines can filter temporal sub-queries without parsing GeoJSON.
 
-A reference body is the fixed record ``!ddddii``: the object's extent
-(west, south, east, north) and the level-2 tile indices of its master. The
-master's name is that tile plus the reference's own (tid, cid, uid, oid), so
-a reference cannot point at another object. The extent lets a reader test
-the spatial predicate on a reference before checking its signature or
-fetching its master: include is exact on it, intersect is a necessary
-condition. For Point/MultiPoint it is the min/max of the points themselves,
-not ``Geometry.bbox``, whose max corner a single point nudges outwards.
+A reference body is the fixed 56-byte record ``!ddddii16s``: the object's
+extent (west, south, east, north), the level-2 tile indices of its master
+and the master's digest, the first 16 bytes of sha256 over the owner-signed
+master's wire encoding (:func:`master_digest`). The master's name is that
+tile plus the reference's own (tid, cid, uid, oid), so a reference cannot
+point at another object; the digest pins the one packet it points at, so a
+reader that already holds a master with that name and digest can use it
+without fetching it again, and a master rewritten under the same name has
+another digest. The extent lets a reader test the spatial predicate on a
+reference before checking its signature or fetching its master: include is
+exact on it, intersect is a necessary condition. For Point/MultiPoint it is
+the min/max of the points themselves, not ``Geometry.bbox``, whose max
+corner a single point nudges outwards.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import Callable
 
 from geoshard.geogrid import Feature, Geometry, GeometryKind, LEVELS, TileId, intersecting_tiles
 from geoshard.icn.names import Name
-from geoshard.icn.packets import DataPacket
+from geoshard.icn.packets import DataPacket, encode_packet
 from geoshard.naming import object_name, parse_object_name, tile_prefix
 
 _FLAG_REFERENCE = 0x01
 _FLAG_INTERVAL = 0x02
-_REFERENCE = struct.Struct("!ddddii")
+_REFERENCE = struct.Struct("!ddddii16s")
 
 Extent = tuple[float, float, float, float]  # west, south, east, north
 
@@ -44,12 +50,17 @@ class ObjectPayload:
     valid_time: tuple[int, int] | None
     body: bytes  # GeoJSON bytes for masters, the reference record for references
 
-    def reference(self) -> tuple[Extent, TileId]:
-        """(object extent, master's level-2 tile) of a reference."""
+    def reference(self) -> tuple[Extent, TileId, bytes]:
+        """(object extent, master's level-2 tile, master's digest) of a reference."""
         if not self.is_reference:
             raise ObjectFormatError("masters carry data, not a reference")
-        west, south, east, north, i, j = _REFERENCE.unpack(self.body)
-        return (west, south, east, north), TileId(max(LEVELS), i, j)
+        west, south, east, north, i, j, digest = _REFERENCE.unpack(self.body)
+        return (west, south, east, north), TileId(max(LEVELS), i, j), digest
+
+
+def master_digest(raw: bytes) -> bytes:
+    """The digest a reference pins its master by, over the master's wire bytes."""
+    return sha256(raw).digest()[:16]
 
 
 def encode_object_payload(
@@ -107,17 +118,29 @@ def build_object_packets(
     sign: Callable[[DataPacket], DataPacket],
     freshness_ms: int = 3_600_000,
 ) -> list[tuple[TileId, DataPacket]]:
-    """One signed packet per intersecting tile: one master, the rest references."""
+    """One signed packet per intersecting tile: one master, the rest references.
+
+    The master is signed first, so that its references can pin its digest.
+    """
     m_tile = master_tile(feature)
     m_name = object_name(m_tile, feature.tid, feature.cid, feature.uid, feature.oid)
     master_body = encode_object_payload(False, feature.valid_time, feature.to_json_bytes())
-    record = _REFERENCE.pack(*geometry_extent(feature.geometry), m_tile.lng_idx, m_tile.lat_idx)
+    master = sign(DataPacket(name=m_name, payload=master_body, freshness_ms=freshness_ms))
+    record = _REFERENCE.pack(
+        *geometry_extent(feature.geometry),
+        m_tile.lng_idx,
+        m_tile.lat_idx,
+        master_digest(encode_packet(master)),
+    )
     ref_body = encode_object_payload(True, feature.valid_time, record)
     out = []
     for tile in replication_tiles(feature):
         name = object_name(tile, feature.tid, feature.cid, feature.uid, feature.oid)
-        body = master_body if name == m_name else ref_body
-        out.append((tile, sign(DataPacket(name=name, payload=body, freshness_ms=freshness_ms))))
+        if name == m_name:
+            out.append((tile, master))
+        else:
+            ref = DataPacket(name=name, payload=ref_body, freshness_ms=freshness_ms)
+            out.append((tile, sign(ref)))
     return out
 
 

@@ -323,11 +323,48 @@ def verify_packet(
 
 # --- memo of verified signatures --------------------------------------------
 
+
+class LruStore:
+    """A dict of at most `capacity` entries, least recently used out first.
+
+    Safe for concurrent callers. `hits` and `misses` count `get` lookups.
+    """
+
+    def __init__(self, capacity: int):
+        self._capacity = capacity
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        """The value held for `key`, now the most recently used; None if absent."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value
+
+    def put(self, key, value) -> None:
+        """Hold `value` (never None) for `key`, evicting the least recently used."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+
+
 VERIFIED_MEMO_SIZE = 4096
 _MEMO_HEAD = struct.Struct("!BHHI")  # scheme, key, signature and data lengths
 
 
-class VerifiedMemo:
+class VerifiedMemo(LruStore):
     """The Ed25519 signatures one party has already verified, least recent out first.
 
     An entry is sha256 over the scheme, the public key, the signature and the
@@ -339,13 +376,7 @@ class VerifiedMemo:
     """
 
     def __init__(self):
-        self._verified: OrderedDict[bytes, None] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._verified)
+        super().__init__(VERIFIED_MEMO_SIZE)
 
     def verify(self, scheme: int, public: bytes, data: bytes, sig: bytes) -> bool:
         if scheme != SCHEME_ED25519:
@@ -353,18 +384,11 @@ class VerifiedMemo:
         key = sha256(
             _MEMO_HEAD.pack(scheme, len(public), len(sig), len(data)) + public + sig + data
         ).digest()
-        with self._lock:
-            if key in self._verified:
-                self._verified.move_to_end(key)
-                self.hits += 1
-                return True
-            self.misses += 1
+        if self.get(key):
+            return True
         if not verify_bytes(scheme, public, data, sig):
             return False
-        with self._lock:
-            self._verified[key] = None
-            if len(self._verified) > VERIFIED_MEMO_SIZE:
-                self._verified.popitem(last=False)
+        self.put(key, True)
         return True
 
 

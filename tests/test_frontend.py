@@ -575,8 +575,10 @@ def test_malformed_engine_reply_fails_the_query_with_its_batch_name(
         monkeypatch.setattr(
             engine, handler, lambda base, interest: fault(engine, base, real(base, interest))
         )
+        # a cold front-end, whose store of verified masters does not hold "cut"
+        cold = cluster.frontend_as("Foo", "poi", "u1")
         with pytest.raises(RangeQueryError) as err:
-            fe.range_query(q)
+            cold.range_query(q)
         assert "malformed reply" in str(err.value)
         assert batch_mark(err.value.name) == mark
     finally:
@@ -702,9 +704,9 @@ def test_reference_naming_a_wrong_master_tile_fails_the_query(cluster):
     assert fe.insert(obj).ok
     signer = data_signer(cluster.user_ids[("Foo", "poi", "u1")])
     ref = _reference(obj, signer)
-    extent, tile = decode_object_payload(ref.payload).reference()
+    extent, tile, digest = decode_object_payload(ref.payload).reference()
     wrong = TileId(tile.level, tile.lng_idx + 1, tile.lat_idx)  # same engine, no master there
-    record = struct.pack("!ddddii", *extent, wrong.lng_idx, wrong.lat_idx)
+    record = struct.pack("!ddddii16s", *extent, wrong.lng_idx, wrong.lat_idx, digest)
     misled = signer(replace(ref, payload=encode_object_payload(True, None, record)))
     try:
         q = RangeQuery(BBox.of(13.86, 42.37, 13.87, 42.38), "Foo", "poi")
@@ -715,17 +717,149 @@ def test_reference_naming_a_wrong_master_tile_fails_the_query(cluster):
         fe.delete("misled", "Foo", "poi", "u1", obj["geometry"])
 
 
-def test_warm_fanout_pool_starts_no_threads(cluster, monkeypatch):
+def _count_master_batches(monkeypatch, fe) -> list[Name]:
+    """Names of the master batches `fe` sends from now on."""
+    batches: list[Name] = []
+    real_get = fe.consumer.get
+
+    def recording_get(name, **kw):
+        if batch_mark(name) == DATA_MARK:
+            batches.append(name)
+        return real_get(name, **kw)
+
+    monkeypatch.setattr(fe.consumer, "get", recording_get)
+    return batches
+
+
+def test_warm_frontend_resolves_repeated_references_from_its_store(cluster, monkeypatch):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    objs = [
+        feature_dict("st-point", (12.712, 42.712)),
+        feature_dict("st-multi", [(12.723, 42.734), (12.771, 42.815)], multi=True),
+    ]
+    for obj in objs:
+        assert fe.insert(obj).ok
+    # spans several level-1 tiles: k=1 answers from the level-0 tile, references only
+    q = RangeQuery(BBox.of(12.7, 42.7, 12.85, 42.85), "Foo", "poi", k=1)
+    try:
+        first = fe.range_query(q)
+        assert first.oids == {"st-point", "st-multi"}
+        assert (first.stats.master_hits, first.stats.master_fetches) == (0, 2)
+        batches = _count_master_batches(monkeypatch, fe)
+        checked = _count_provenance(monkeypatch, fe)
+        second = fe.range_query(q)
+        assert [f.raw for f in second.objects] == [f.raw for f in first.objects]
+        assert batches == []
+        assert sorted(checked) == sorted(_master_name(f) for f in second.objects)
+        assert (second.stats.master_hits, second.stats.master_fetches) == (2, 0)
+        assert (fe.masters.hits, fe.masters.misses, len(fe.masters)) == (2, 2, 2)
+    finally:
+        for obj in objs:
+            fe.delete(obj["properties"]["oid"], "Foo", "poi", "u1", obj["geometry"])
+
+
+def test_warm_frontend_returns_a_reinserted_object_as_changed(cluster):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    obj = feature_dict("st-again", (12.732, 42.742))
+    q = RangeQuery(BBox.of(12.7, 42.7, 12.85, 42.85), "Foo", "poi", k=1)
+    try:
+        for label in ("before", "after"):
+            obj["properties"]["label"] = label
+            assert fe.insert(obj).ok
+            res = fe.range_query(q)
+            assert [f.raw["properties"]["label"] for f in res.objects] == [label]
+            assert (res.stats.master_hits, res.stats.master_fetches) == (0, 1)
+            assert fe.delete("st-again", "Foo", "poi", "u1", obj["geometry"]).ok
+    finally:
+        fe.delete("st-again", "Foo", "poi", "u1", obj["geometry"])
+
+
+def test_reference_whose_digest_is_one_bit_off_fails_the_query(cluster):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    obj = feature_dict("st-flipped", (12.742, 42.752))
+    assert fe.insert(obj).ok
+    signer = data_signer(cluster.user_ids[("Foo", "poi", "u1")])
+    ref = _reference(obj, signer)
+    extent, tile, digest = decode_object_payload(ref.payload).reference()
+    flipped = bytes([digest[0] ^ 1]) + digest[1:]
+    record = struct.pack("!ddddii16s", *extent, tile.lng_idx, tile.lat_idx, flipped)
+    forged = signer(replace(ref, payload=encode_object_payload(True, None, record)))
+    q = RangeQuery(BBox.of(12.74, 42.75, 12.75, 42.76), "Foo", "poi")
+    try:
+        stats = QueryStats()
+        with pytest.raises(RangeQueryError) as err:
+            fe._collect([(Name(["reply"]), encode_packet_stream([forged]))], q, stats)
+        assert err.value.name == _master_name(parse_feature(obj))
+        assert stats.validation_warnings == 1
+        assert len(fe.masters) == 0
+        # the true reference resolves, and its master enters the store
+        replies = [(Name(["reply"]), encode_packet_stream([ref]))]
+        assert [f.oid for f in fe._collect(replies, q, QueryStats())] == ["st-flipped"]
+        assert len(fe.masters) == 1
+    finally:
+        fe.delete("st-flipped", "Foo", "poi", "u1", obj["geometry"])
+
+
+def test_master_store_holds_its_bound_least_recently_used_out_first(cluster, monkeypatch):
+    monkeypatch.setattr(frontend_mod, "MASTER_STORE_SIZE", 2)
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+    # one object per level-1 tile; a box inside that tile at k=1 returns its reference
+    points = {name: (12.15 + i * 0.1, 42.15) for i, name in enumerate("abc")}
+    boxes = {
+        name: BBox.of(lng - 0.04, lat - 0.04, lng + 0.04, lat + 0.04)
+        for name, (lng, lat) in points.items()
+    }
+    for name, point in points.items():
+        assert fe.insert(feature_dict(f"st-lru-{name}", point)).ok
+    try:
+        # (object asked for, whether the store holds its master)
+        for name, held in [("a", 0), ("b", 0), ("a", 1), ("c", 0), ("a", 1), ("b", 0)]:
+            res = fe.range_query(RangeQuery(boxes[name], "Foo", "poi", k=1))
+            assert res.oids == {f"st-lru-{name}"}
+            assert (res.stats.master_hits, res.stats.master_fetches) == (held, 1 - held)
+            assert len(fe.masters) <= 2
+        assert len(fe.masters) == 2
+    finally:
+        for name, point in points.items():
+            geometry = {"type": "Point", "coordinates": list(point)}
+            fe.delete(f"st-lru-{name}", "Foo", "poi", "u1", geometry)
+
+
+def test_half_deleted_object_resolves_only_on_a_warm_frontend(cluster):
+    warm = cluster.frontend_as("Foo", "poi", "u1")
+    obj = feature_dict("st-half", (13.562, 41.562))
+    assert warm.insert(obj).ok
+    # inside one level-1 tile: k=1 answers with a reference
+    q = RangeQuery(BBox.of(13.51, 41.51, 13.59, 41.59), "Foo", "poi", k=1)
+    master = _master_name(parse_feature(obj))
+    try:
+        assert warm.range_query(q).oids == {"st-half"}
+        # the delete reaches the master's row only, as when the rest timed out
+        name, params = object_batch(TileId.at(0, 13, 41), "Foo", "poi", [master], DELETE_MARK)
+        user = cluster.user_ids[("Foo", "poi", "u1")]
+        interest = sign_interest(user, InterestPacket(name, app_params=params))
+        assert cluster.engine("e2").handle_delete(name, interest).payload == DELETE_OK
+        res = warm.range_query(q)
+        assert res.oids == {"st-half"}
+        assert (res.stats.master_hits, res.stats.master_fetches) == (1, 0)
+        cold = cluster.frontend_as("Foo", "poi", "u1")
+        with pytest.raises(RangeQueryError) as err:
+            cold.range_query(q)
+        assert err.value.name == master
+    finally:
+        warm.delete("st-half", "Foo", "poi", "u1", obj["geometry"])
+
+
+def test_frontend_warmed_by_concurrent_queries_starts_no_threads(cluster, monkeypatch):
     fe = cluster.frontend_as("Foo", "poi", "u1")
     q = RangeQuery(BBox.of(12.05, 41.05, 12.35, 41.35), "Foo", "poi", k=40)  # 40 sub-queries
     real_get = fe.consumer.get
 
     def slow_get(*args, **kw):
-        time.sleep(0.005)  # every lane is still busy when the last one is submitted
+        time.sleep(0.005)
         return real_get(*args, **kw)
 
-    # warm-up: two slowed queries at once submit more lanes than the pool has
-    # threads, so it starts all of them
+    # warm-up: two slowed queries at once
     monkeypatch.setattr(fe.consumer, "get", slow_get)
     warm_up = [threading.Thread(target=fe.range_query, args=(q,)) for _ in range(2)]
     for t in warm_up:
@@ -747,7 +881,7 @@ def test_warm_fanout_pool_starts_no_threads(cluster, monkeypatch):
     assert starts == []
 
 
-def test_concurrent_queries_share_the_fanout_pool(cluster):
+def test_concurrent_queries_on_one_frontend_all_return_every_object(cluster):
     fe = cluster.frontend_as("Foo", "poi", "u1")
     points = {f"pool{i}": (12.06 + i * 0.05, 41.07 + i * 0.04) for i in range(6)}
     for oid, point in points.items():
@@ -765,7 +899,7 @@ def test_concurrent_queries_share_the_fanout_pool(cluster):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=client) for _ in range(6)]  # 18 calls, 8 workers
+        threads = [threading.Thread(target=client) for _ in range(6)]  # 18 calls
         for t in threads:
             t.start()
         for t in threads:
