@@ -55,6 +55,7 @@ class BloomFilterServer:
         self._bucket_engines: dict[int, set[str]] = {}
         self.updates_applied = 0
         self.updates_dropped = 0
+        self.malformed_requests = 0  # membership requests without a decodable item batch
 
     # --- state ---------------------------------------------------------------
 
@@ -92,11 +93,12 @@ class BloomFilterServer:
         producer.serve(BF_UPDATE_PREFIX, self._on_update)
 
     def _on_member(self, base: Name, interest: InterestPacket):
-        if interest.app_params is None:
-            return None
         try:
-            items = decode_membership_request(interest.app_params)
-        except Exception:
+            items = decode_membership_request(interest.app_params or b"")
+        except Exception as exc:
+            with self._lock:
+                self.malformed_requests += 1
+            log.debug("malformed membership request %s: %s", base, exc)
             return None
         if len(items) > MAX_BATCH:
             log.warning("membership batch of %d rejected (max %d)", len(items), MAX_BATCH)

@@ -1,18 +1,23 @@
 """Back-end database engine.
 
-Stores object rows grouped by (tile prefix, tenant, collection) and
-answers batch Interests, one per front-end request and owned level-0 tile:
-a tile batch lists (tile, period) queries of one data set and is answered
-with one signed container holding the union of their rows, each row once,
-every query's rows served from an invalidating application-layer cache
-when possible; an object batch fetches masters into one signed container;
-a delete batch removes the rows of one object under the engine's tiles
-and is answered with one signed container of one status per row. A batch
-is authorized with one access decision. The engine also resolves its own
-bulk-insert address, applies the access-control table to every
-operation, and keeps a counting Bloom filter over (tile-prefix, tenant,
-collection) groups whose 0->1 / 1->0 bucket transitions are published to
-the filter server; a publish that fails is logged and counted.
+Stores object rows grouped by (tile prefix, tenant, collection), each as
+the framed wire bytes of its owner-signed packet, and answers batch
+Interests, one per front-end request and owned level-0 tile. A tile batch
+lists (tile, period) queries of one data set and carries the range
+query's predicate (box, mode, interval); it is answered with one signed
+container of the rows of those queries that can match the predicate, one
+per object identity, the master when the engine holds one that passes.
+Every query's rows are served from an invalidating application-layer
+cache when possible. An object batch fetches masters into one signed
+container; a delete batch removes the rows of one object under the
+engine's tiles and is answered with one signed container of one status
+per row. A reply joins the stored bytes of its rows; nothing is encoded
+again. A batch is authorized with one access decision. The engine also
+resolves its own bulk-insert address, applies the access-control table to
+every operation, and keeps a counting Bloom filter over (tile-prefix,
+tenant, collection) groups whose 0->1 / 1->0 bucket transitions are
+published to the filter server; a publish that fails is logged and
+counted.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from geoshard.icn.packets import (
     decode_packet,
     encode_packet,
     encode_packet_stream,
-    split_packet_stream,
 )
 from geoshard.icn.producer import Producer, ProducerReply
 from geoshard.naming import (
@@ -52,7 +56,7 @@ from geoshard.naming import (
     route_prefix,
     tile_query_name,
 )
-from geoshard.objects import StoredObject
+from geoshard.objects import StoredObject, temporal_match
 from geoshard.trust import (
     AccessOp,
     Identity,
@@ -110,6 +114,8 @@ class EngineStats:
     ip_resolutions: int = 0
     object_fetches: int = 0
     bf_publish_failures: int = 0
+    rows_sent: int = 0  # rows in tile batch replies, counted per reply built
+    rows_filtered: int = 0  # rows of listed queries that could not match the predicate
 
 
 class DatabaseEngine:
@@ -131,8 +137,8 @@ class DatabaseEngine:
         self._state = threading.RLock()
         self.objects: dict[Name, StoredObject] = {}
         self._groups: dict[tuple[Name, str, str], set[Name]] = {}
-        # query -> (prefix, row names, row stream): the stream holds the rows in name order
-        self._qdata: dict[Name, tuple[Name, tuple[Name, ...], bytes]] = {}
+        # query -> (prefix, its rows in name order)
+        self._qdata: dict[Name, tuple[Name, tuple[StoredObject, ...]]] = {}
         self._qdata_by_prefix: dict[Name, set[Name]] = {}
         self._owned_prefixes = tuple(route_prefix(t) for t in config.tiles)
         self.cbf = (
@@ -210,9 +216,9 @@ class DatabaseEngine:
 
     def _open_batch(
         self, base: Name, interest: InterestPacket, mark: str, parse: Callable
-    ) -> list[tuple] | None:
-        """(name, parse(name)) for every name a read batch lists; None when
-        the batch is not for this engine, or refused (and counted).
+    ) -> tuple[BatchInfo, list[tuple]] | None:
+        """A read batch and (name, parse(name)) for every name it lists;
+        None when the batch is not for this engine, or refused (and counted).
 
         The batch is refused whole when `_list_batch` refuses it, or when
         the signer may not query the batch's data set. Since every listed
@@ -230,37 +236,44 @@ class DatabaseEngine:
             self.stats.denied_queries += 1
             log.debug("%s: batch %s refused: %s", self.config.node_id, base, exc)
             return None
-        return listed
+        return batch
 
     # --- tile queries --------------------------------------------------------
 
     def handle_tile_query(self, base: Name, interest: InterestPacket):
         """Answer a tile batch with one engine-signed container holding the
-        union of the rows of every (tile, period) query it lists, each row
-        once: the queries' rows in order, less those already in the reply.
+        rows of the (tile, period) queries it lists that can match its
+        predicate, one per object identity (tid, cid, uid, oid).
 
-        A row without validity, or one spanning several of the listed
-        periods, answers each of those queries but is sent once. Each
-        query's rows come from the cache when it holds them. The reply is
-        rebuilt for each segment Interest and signed on read, outside the
-        state lock, so only the segment sent is signed.
+        A row is kept when it passes the front-end's own tests that precede
+        the exact match (`StoredObject.can_match`), so no row the front-end
+        would keep is left out. Of an identity's kept rows the first is
+        sent, or its master when one of them is the master. Each query's
+        rows come from the cache when it holds them. The reply joins the
+        kept rows' stored bytes; it is rebuilt for each segment Interest
+        and signed on read, outside the state lock, so only the segment
+        sent is signed.
         """
         self.stats.tile_queries += 1
-        listed = self._open_batch(base, interest, TILE_MARK, parse_tile_query_name)
-        if listed is None:
+        batch = self._open_batch(base, interest, TILE_MARK, parse_tile_query_name)
+        if batch is None:
             return None
-        parts: list[bytes | memoryview] = []
-        sent: set[Name] = set()
+        info, listed = batch
+        kept: dict[tuple[str, str, str, str], StoredObject] = {}
+        filtered = 0
         with self._state:
             for qname, query in listed:
-                names, stream = self._rows(qname, query)
-                if sent.isdisjoint(names):
-                    parts.append(stream)
-                else:
-                    items = zip(names, split_packet_stream(stream))
-                    parts.extend(item for name, item in items if name not in sent)
-                sent.update(names)
-            payload = b"".join(parts)
+                for row in self._rows(qname, query):
+                    held = kept.get(row.key)
+                    if held is not None and (row.is_reference or not held.is_reference):
+                        continue
+                    if not row.can_match(info.predicate):
+                        filtered += 1
+                        continue
+                    kept[row.key] = row
+            payload = b"".join(row.wire for row in kept.values())
+            self.stats.rows_sent += len(kept)
+            self.stats.rows_filtered += filtered
         return ProducerReply(
             payload,
             freshness_ms=self.config.qdata_freshness_ms,
@@ -268,22 +281,17 @@ class DatabaseEngine:
             max_payload=self.config.max_payload,
         ).segments(base)
 
-    def _rows(self, qname: Name, query: TileQueryInfo) -> tuple[tuple[Name, ...], bytes]:
-        """Names and encoded stream of the rows answering one tile query;
-        called under `_state`."""
+    def _rows(self, qname: Name, query: TileQueryInfo) -> tuple[StoredObject, ...]:
+        """The rows answering one tile query, in name order; called under `_state`."""
         cached = self._qdata.get(qname)
         if cached is not None:
             self.stats.qdata_hits += 1
-            return cached[1], cached[2]
-        rows = self._select(query.tile, query.tid, query.cid, query.period)
-        names = tuple(r.name for r in rows)
-        stream = encode_packet_stream(r.packet for r in rows)
-        self._cache_rows(qname, route_prefix(query.tile), names, stream)
-        return names, stream
+            return cached[1]
+        rows = tuple(self._select(query.tile, query.tid, query.cid, query.period))
+        self._cache_rows(qname, route_prefix(query.tile), rows)
+        return rows
 
-    def _cache_rows(
-        self, qname: Name, prefix: Name, names: tuple[Name, ...], stream: bytes
-    ) -> None:
+    def _cache_rows(self, qname: Name, prefix: Name, rows: tuple[StoredObject, ...]) -> None:
         if len(self._qdata) >= QDATA_CAPACITY:
             oldest = next(iter(self._qdata))
             old_prefix = self._qdata.pop(oldest)[0]
@@ -291,7 +299,7 @@ class DatabaseEngine:
             peers.discard(oldest)
             if not peers:
                 del self._qdata_by_prefix[old_prefix]
-        self._qdata[qname] = (prefix, names, stream)
+        self._qdata[qname] = (prefix, rows)
         self._qdata_by_prefix.setdefault(prefix, set()).add(qname)
 
     def _select(
@@ -302,8 +310,8 @@ class DatabaseEngine:
         rows = [self.objects[n] for n in sorted(names)]
         if period is not None:
             start, size = period
-            p0, p1 = start * 60, (start + size) * 60
-            rows = [r for r in rows if r.overlaps_seconds(p0, p1)]
+            seconds = start * 60, (start + size) * 60
+            rows = [r for r in rows if temporal_match(r.valid_time, seconds)]
         return rows
 
     # --- address resolution ---------------------------------------------------
@@ -325,19 +333,19 @@ class DatabaseEngine:
         """Serve the stored objects named in a batch Interest's parameters.
 
         Every name is checked like a tile query of its data set. The reply
-        is one engine-signed container of the owner-signed packets found;
-        names not held here are left out, and the requester notices them.
-        The reply is rebuilt for each segment Interest, so only the segment
-        sent is signed.
+        is one engine-signed container joining the stored bytes of the
+        owner-signed packets found; names not held here are left out, and
+        the requester notices them. The reply is rebuilt for each segment
+        Interest, so only the segment sent is signed.
         """
-        listed = self._open_batch(base, interest, DATA_MARK, parse_object_name)
-        if listed is None:
+        batch = self._open_batch(base, interest, DATA_MARK, parse_object_name)
+        if batch is None:
             return None
         with self._state:
-            rows = [self.objects[n].packet for n, _ in listed if n in self.objects]
+            rows = [self.objects[n].wire for n, _ in batch[1] if n in self.objects]
             self.stats.object_fetches += len(rows)
         return ProducerReply(
-            encode_packet_stream(rows),
+            b"".join(rows),
             freshness_ms=self.config.qdata_freshness_ms,
             sign=self._sign,
             max_payload=self.config.max_payload,
@@ -357,7 +365,7 @@ class DatabaseEngine:
 
     def _insert_one(self, pkt: DataPacket, ups: list[int]) -> int:
         try:
-            row = StoredObject.from_packet(pkt)
+            row = StoredObject.from_packet(pkt, encode_packet_stream((pkt,)))
         except (NameSchemeError, ValueError):
             return STATUS_MALFORMED
         if not self.owns(row.tile):

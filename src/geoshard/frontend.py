@@ -2,15 +2,23 @@
 
 A range query runs in two phases: tile-querying (tessellate the box,
 optionally pre-filter void tiles through the Bloom server, then send one
-tile batch per owning level-0 tile, listing its (tile, period) sub-queries,
-one after another on the caller's thread) and post-filtering.
+tile batch per owning level-0 tile, listing its (tile, period) sub-queries
+and carrying the query's predicate - box, mode and interval - one after
+another on the caller's thread) and post-filtering.
 
 Trust boundary: each signature vouches for one fact.
 
 - The engine's signature on a tile batch reply vouches for its index
-  records: that these rows, each once, are the union of the rows it holds
-  for the (tile, period) sub-queries the batch lists, in the named data
-  set. Its signature on a master batch reply vouches that these are the
+  records: that these are the rows of the listed sub-queries that can
+  match the batch's predicate, one per identity. That is, of the rows it
+  holds for the (tile, period) sub-queries the batch lists, in the named
+  data set, those that pass steps 1 and 2 of the post-filter below, with
+  a master's extent standing in for its exact match; one row per object
+  identity, the master where one passes. The predicate is part of the
+  batch's parameters, which its name is the digest of, so the signed
+  Interest binds it. The front-end still runs every step on every row it
+  receives: an engine could always leave rows out, and cannot forge a
+  master. Its signature on a master batch reply vouches that these are the
   stored masters it holds of the names listed. The front-end verifies it
   on every reply segment (transport validation) and accepts it only from
   an engine's certificate (`sys/<engine>`), not from a user, the Bloom
@@ -75,23 +83,17 @@ from typing import Callable, Iterable
 
 from geoshard.bloomsvc import SERVER_UID
 from geoshard.engine import DELETE_DENIED, DELETE_NOT_FOUND, DELETE_OK
-from geoshard.geogrid import (
-    BBox,
-    Feature,
-    Geometry,
-    GeometryKind,
-    TileId,
-    level0,
-    parse_feature,
-)
+from geoshard.geogrid import BBox, Feature, Geometry, TileId, level0, parse_feature
 from geoshard.icn.clock import system_clock
 from geoshard.icn.consumer import Consumer, GetTimeoutError
 from geoshard.icn.names import Name
 from geoshard.icn.packets import DataPacket, Packet, decode_packet_stream, encode_packet
 from geoshard.naming import (
     DELETE_MARK,
+    MODES,
     SYSTEM_DID,
     TILE_MARK,
+    Predicate,
     ip_res_name,
     object_batch,
     object_name,
@@ -100,12 +102,13 @@ from geoshard.naming import (
     tile_query_name,
 )
 from geoshard.objects import (
-    Extent,
     build_object_packets,
     decode_object_payload,
-    geometry_extent,
+    extent_match,
     master_digest,
     replication_tiles,
+    spatial_match,
+    temporal_match,
 )
 from geoshard.tessellate import PeriodSet, constrained_tessellation, temporal_decompose
 from geoshard.trust import (
@@ -152,7 +155,7 @@ class RangeQuery:
     use_bf: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("intersect", "include"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
@@ -171,6 +174,7 @@ class QueryStats:
     bf_fallback: bool = False
     master_hits: int = 0  # references resolved from the store of verified masters
     master_fetches: int = 0  # master names sent in master batches
+    rows_received: int = 0  # packets decoded from tile batch replies
 
 
 @dataclass
@@ -203,47 +207,6 @@ class DeleteReport:
         return bool(self.per_tile) and all(s == "OK" for _, s in self.per_tile)
 
 
-def spatial_match(geometry: Geometry, bbox: BBox, mode: str) -> bool:
-    """Intersect: any point inside (closed); include: the whole geometry inside.
-
-    Geometries without native points are judged on their bounding box.
-    """
-    if geometry.kind is GeometryKind.OTHER:
-        return extent_match(geometry_extent(geometry), bbox, mode)
-    inside = (bbox.contains(p) for p in geometry.points)
-    return all(inside) if mode == "include" else any(inside)
-
-
-def extent_match(extent: Extent, bbox: BBox, mode: str) -> bool:
-    """Spatial test on an object's extent (west, south, east, north).
-
-    Implied by `spatial_match` on the object's geometry; equal to it for
-    include on points, and its definition for other kinds.
-    """
-    west, south, east, north = extent
-    if mode == "include":
-        return (
-            bbox.min.lng <= west
-            and bbox.min.lat <= south
-            and east <= bbox.max.lng
-            and north <= bbox.max.lat
-        )
-    return (
-        west <= bbox.max.lng
-        and bbox.min.lng <= east
-        and south <= bbox.max.lat
-        and bbox.min.lat <= north
-    )
-
-
-def temporal_match(valid_time: tuple[int, int] | None, interval: tuple[int, int] | None) -> bool:
-    """Closed-interval overlap; objects without a validity are always valid."""
-    if interval is None or valid_time is None:
-        return True
-    a, b = valid_time
-    return a <= interval[1] and b >= interval[0]
-
-
 class Frontend:
     """One front-end instance; safe for concurrent client calls.
 
@@ -251,6 +214,8 @@ class Frontend:
     `close` closes its bulk transports. `verified` is its memo of verified
     signatures and `masters` its store of fetched masters that matched the
     digest their reference pins, each with hit and miss counts.
+    `bf_fallbacks` counts the range queries that queried every tile because
+    the Bloom pre-filter failed.
     """
 
     def __init__(
@@ -280,6 +245,7 @@ class Frontend:
         self._lock = threading.Lock()
         self.verified = VerifiedMemo()
         self.masters = LruStore(MASTER_STORE_SIZE)
+        self.bf_fallbacks = 0
 
     # --- validation helpers --------------------------------------------------
 
@@ -319,7 +285,8 @@ class Frontend:
 
         No false negatives relative to engine ground truth; on any Bloom
         service failure the input set is returned unchanged (availability
-        over optimization) and ``stats.bf_fallback`` is set.
+        over optimization), ``bf_fallbacks`` is counted and
+        ``stats.bf_fallback`` is set.
         """
         tiles = list(tiles)
         if self.bf_client is None:
@@ -330,6 +297,8 @@ class Frontend:
             return {t for t, bit in zip(tiles, bits) if bit}
         except Exception as exc:
             log.warning("bloom pre-filter unavailable, querying all tiles: %s", exc)
+            with self._lock:
+                self.bf_fallbacks += 1
             if stats is not None:
                 stats.bf_fallback = True
             return set(tiles)
@@ -362,11 +331,12 @@ class Frontend:
         by_owner: dict[TileId, list[TileId]] = {}
         for tile in tiles:
             by_owner.setdefault(level0(tile), []).append(tile)
+        predicate = Predicate(q.bbox, q.mode, q.interval)
         batches = []
         for owner, owned in sorted(by_owner.items()):
             names = self.spatio_temporal_subqueries(owned, periods, q.tid, q.cid)
             stats.subqueries += len(names)
-            batches.append(object_batch(owner, q.tid, q.cid, names, TILE_MARK))
+            batches.append(object_batch(owner, q.tid, q.cid, names, TILE_MARK, predicate))
         replies = self._fetch_all(batches)
         t3 = self.clock()
         stats.batch_ms = (t3 - t2) * 1000
@@ -420,7 +390,9 @@ class Frontend:
         features: dict[ObjectKey, Feature] = {}
         refs: dict[ObjectKey, tuple[TileId, bytes]] = {}  # identity -> master's tile, digest
         for name, raw in replies:
-            for pkt in _decode_reply(name, raw):
+            packets = _decode_reply(name, raw)
+            stats.rows_received += len(packets)
+            for pkt in packets:
                 try:
                     key = _object_key(pkt)
                     if key in features:

@@ -234,19 +234,6 @@ def encode_packet_stream(packets: Iterable[Packet]) -> bytes:
     return b"".join(out)
 
 
-def split_packet_stream(raw: bytes) -> list[memoryview]:
-    """The framed items of a stream that :func:`encode_packet_stream` made,
-    each with its length prefix, as views into `raw`; joined, they are `raw`."""
-    view = memoryview(raw)
-    out = []
-    pos, size = 0, len(raw)
-    while pos < size:
-        end = pos + 4 + _U32.unpack_from(raw, pos)[0]
-        out.append(view[pos:end])
-        pos = end
-    return out
-
-
 def decode_packet_stream(raw: bytes) -> list[Packet]:
     """The packets of a stream, each decoded in place."""
     out = []

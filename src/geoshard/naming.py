@@ -4,11 +4,13 @@
   query     ndn:/<tile-prefix>/TILE/<tid>/<cid>[/T/<size-min>/<start-min>]
             one (tile, period) sub-query; travels only listed in a batch
   batch     ndn:/<level-0 route prefix>/<mark>/<tid>/<cid>/<digest>
-            sent to the engine that owns the level-0 tile; the Interest's
-            application parameters list object names (mark DATA: fetch
-            those objects; mark DELETE: delete those rows of one object)
-            or query names (mark TILE: answer those tile queries), and
-            <digest> is the SHA-256 of those parameters
+            sent to the engine that owns the level-0 tile; <digest> is the
+            SHA-256 of the Interest's application parameters, which are
+            a JSON list of object names (mark DATA: fetch those objects;
+            mark DELETE: delete those rows of one object), or a JSON
+            object (mark TILE) of query names to answer and the range
+            query's predicate: {"names", "box": [west, south, east,
+            north], "mode", "interval": [start, end] or null}
   address   ndn:/<tile-prefix>/IP-RES
   key loc.  ndn:/CERT/<did>/<uid>/<permission>
 
@@ -23,7 +25,15 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterable
 
-from geoshard.geogrid import GPS_ID, ROOT_COMPONENT, GridError, TileId, parse_tile_prefix, tile_prefix
+from geoshard.geogrid import (
+    GPS_ID,
+    ROOT_COMPONENT,
+    BBox,
+    GridError,
+    TileId,
+    parse_tile_prefix,
+    tile_prefix,
+)
 from geoshard.icn.names import Name
 
 DATA_MARK = "DATA"
@@ -33,6 +43,8 @@ DELETE_MARK = "DELETE"
 TEMPORAL_MARK = "T"
 CERT_ROOT = "CERT"
 SYSTEM_DID = "sys"
+
+MODES = ("intersect", "include")  # the spatial predicates of a range query
 
 BF_PREFIX = Name((ROOT_COMPONENT, "BF"))
 BF_MEMBER_PREFIX = BF_PREFIX / "member"
@@ -65,13 +77,38 @@ def object_name(tile: TileId, tid: str, cid: str, uid: str, oid: str) -> Name:
     return tile_prefix(tile).append(DATA_MARK, tid, cid, uid, oid)
 
 
+@dataclass(frozen=True, slots=True)
+class Predicate:
+    """A range query's box, mode and interval, as its tile batches carry them."""
+
+    box: BBox
+    mode: str
+    interval: tuple[int, int] | None
+
+
 def object_batch(
-    tile: TileId, tid: str, cid: str, names: Iterable[Name], mark: str = DATA_MARK
+    tile: TileId,
+    tid: str,
+    cid: str,
+    names: Iterable[Name],
+    mark: str = DATA_MARK,
+    predicate: Predicate | None = None,
 ) -> tuple[Name, bytes]:
     """(batch name, application parameters) listing `names` for the engine
     that owns level-0 `tile`: objects to fetch (DATA), rows to delete
-    (DELETE) or tile queries to answer (TILE)."""
-    params = json.dumps([list(n.components) for n in names]).encode()
+    (DELETE) or tile queries to answer (TILE), the last with the predicate
+    of the range query they serve."""
+    listed = [list(n.components) for n in names]
+    if predicate is None:
+        params = json.dumps(listed).encode()
+    else:
+        box = predicate.box
+        params = json.dumps({
+            "names": listed,
+            "box": [box.min.lng, box.min.lat, box.max.lng, box.max.lat],
+            "mode": predicate.mode,
+            "interval": None if predicate.interval is None else list(predicate.interval),
+        }).encode()
     name = route_prefix(tile).append(mark, tid, cid, sha256(params).hexdigest())
     return name, params
 
@@ -184,10 +221,16 @@ class BatchInfo:
     tid: str
     cid: str
     names: tuple[Name, ...]
+    predicate: Predicate | None  # a TILE batch's; None for DATA and DELETE
 
 
 def parse_object_batch(name: Name, params: bytes | None, mark: str) -> BatchInfo:
-    """Inverse of :func:`object_batch`; the digest must match the parameters."""
+    """Inverse of :func:`object_batch`; the digest must match the parameters.
+
+    A TILE batch must carry a well-formed predicate: a known mode, a box
+    that is not degenerate and an interval that is null or not inverted.
+    DATA and DELETE batches carry none.
+    """
     if batch_mark(name) != mark:
         raise NameSchemeError(f"bad {mark} batch name: {name}")
     c = name.components
@@ -199,9 +242,37 @@ def parse_object_batch(name: Name, params: bytes | None, mark: str) -> BatchInfo
         raise NameSchemeError(f"parameters do not match the digest of {name}")
     try:
         raw = json.loads(params)
+        predicate = None
+        if mark == TILE_MARK:
+            if not isinstance(raw, dict) or raw.keys() != {"names", "box", "mode", "interval"}:
+                raise ValueError("expected the query names and a predicate")
+            predicate = _parse_predicate(raw["box"], raw["mode"], raw["interval"])
+            raw = raw["names"]
         if not isinstance(raw, list) or not all(isinstance(comps, list) for comps in raw):
             raise ValueError("expected a list of component lists")
         names = tuple(Name(comps) for comps in raw)
     except (TypeError, ValueError) as exc:
         raise NameSchemeError(f"bad parameters of {name}: {exc}") from None
-    return BatchInfo(tile, c[4], c[5], names)
+    return BatchInfo(tile, c[4], c[5], names, predicate)
+
+
+def _numbers(raw, count: int) -> list:
+    if (
+        not isinstance(raw, list)
+        or len(raw) != count
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
+    ):
+        raise ValueError(f"expected {count} numbers, got {raw!r}")
+    return raw
+
+
+def _parse_predicate(box, mode, interval) -> Predicate:
+    """Raises ValueError (GridError for a degenerate box) on a malformed predicate."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if interval is not None:
+        start, end = _numbers(interval, 2)
+        if start > end:
+            raise ValueError(f"inverted interval {interval!r}")
+        interval = (start, end)
+    return Predicate(BBox.of(*_numbers(box, 4)), mode, interval)

@@ -19,6 +19,13 @@ reference before checking its signature or fetching its master: include is
 exact on it, intersect is a necessary condition. For Point/MultiPoint it is
 the min/max of the points themselves, not ``Geometry.bbox``, whose max
 corner a single point nudges outwards.
+
+The spatial and temporal predicates of a range query live here, so that
+an engine filtering the rows it sends and a front-end filtering the rows
+it receives run the same functions on the same numbers.
+
+An engine keeps each row as the framed wire bytes of its signed packet,
+made once at insert: a reply is the join of its rows' bytes.
 """
 
 from __future__ import annotations
@@ -28,14 +35,25 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Callable
 
-from geoshard.geogrid import Feature, Geometry, GeometryKind, LEVELS, TileId, intersecting_tiles
+from geoshard.geogrid import (
+    LEVELS,
+    BBox,
+    Feature,
+    Geometry,
+    GeometryKind,
+    TileId,
+    intersecting_tiles,
+    parse_feature,
+)
 from geoshard.icn.names import Name
-from geoshard.icn.packets import DataPacket, encode_packet
-from geoshard.naming import object_name, parse_object_name, tile_prefix
+from geoshard.icn.packets import DataPacket, decode_packet_stream, encode_packet
+from geoshard.naming import Predicate, object_name, parse_object_name, tile_prefix
 
 _FLAG_REFERENCE = 0x01
 _FLAG_INTERVAL = 0x02
 _REFERENCE = struct.Struct("!ddddii16s")
+_EXTENT = struct.Struct("!dddd")  # the head of a reference record
+_UNREADABLE = ()  # the extent of a stored master whose GeoJSON does not parse
 
 Extent = tuple[float, float, float, float]  # west, south, east, north
 
@@ -99,6 +117,47 @@ def geometry_extent(g: Geometry) -> Extent:
     return min(lngs), min(lats), max(lngs), max(lats)
 
 
+def spatial_match(geometry: Geometry, bbox: BBox, mode: str) -> bool:
+    """Intersect: any point inside (closed); include: the whole geometry inside.
+
+    Geometries without native points are judged on their bounding box.
+    """
+    if geometry.kind is GeometryKind.OTHER:
+        return extent_match(geometry_extent(geometry), bbox, mode)
+    inside = (bbox.contains(p) for p in geometry.points)
+    return all(inside) if mode == "include" else any(inside)
+
+
+def extent_match(extent: Extent, bbox: BBox, mode: str) -> bool:
+    """Spatial test on an object's extent (west, south, east, north).
+
+    Implied by `spatial_match` on the object's geometry; equal to it for
+    include on points, and its definition for other kinds.
+    """
+    west, south, east, north = extent
+    if mode == "include":
+        return (
+            bbox.min.lng <= west
+            and bbox.min.lat <= south
+            and east <= bbox.max.lng
+            and north <= bbox.max.lat
+        )
+    return (
+        west <= bbox.max.lng
+        and bbox.min.lng <= east
+        and south <= bbox.max.lat
+        and bbox.min.lat <= north
+    )
+
+
+def temporal_match(valid_time: tuple[int, int] | None, interval: tuple[int, int] | None) -> bool:
+    """Closed-interval overlap; objects without a validity are always valid."""
+    if interval is None or valid_time is None:
+        return True
+    a, b = valid_time
+    return a <= interval[1] and b >= interval[0]
+
+
 def replication_tiles(feature: Feature) -> list[TileId]:
     """Every intersecting tile at every level (level-replication)."""
     tiles: list[TileId] = []
@@ -144,9 +203,10 @@ def build_object_packets(
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class StoredObject:
-    """Engine-side row: the parsed identity plus the encoded signed packet."""
+    """Engine-side row: the parsed identity plus the signed packet's wire
+    bytes, framed as one item of a packet stream."""
 
     name: Name
     tile: TileId
@@ -156,10 +216,12 @@ class StoredObject:
     oid: str
     is_reference: bool
     valid_time: tuple[int, int] | None
-    packet: DataPacket
+    wire: bytes
+    _extent: Extent | tuple[()] | None = None  # a master's, from its GeoJSON on first read
 
     @classmethod
-    def from_packet(cls, pkt: DataPacket) -> "StoredObject":
+    def from_packet(cls, pkt: DataPacket, wire: bytes) -> "StoredObject":
+        """The row of `pkt`, whose framed wire bytes are `wire`."""
         info = parse_object_name(pkt.name)
         payload = decode_object_payload(pkt.payload)
         return cls(
@@ -171,12 +233,39 @@ class StoredObject:
             info.oid,
             payload.is_reference,
             payload.valid_time,
-            pkt,
+            wire,
         )
 
-    def overlaps_seconds(self, start_s: int, end_s: int) -> bool:
-        """Closed-interval overlap; objects without validity are always valid."""
-        if self.valid_time is None:
-            return True
-        a, b = self.valid_time
-        return a <= end_s and b >= start_s
+    @property
+    def packet(self) -> DataPacket:
+        """The stored packet, decoded from its wire bytes."""
+        return decode_packet_stream(self.wire)[0]
+
+    @property
+    def key(self) -> tuple[str, str, str, str]:
+        """The object's identity (tid, cid, uid, oid), shared by all its rows."""
+        return self.tid, self.cid, self.uid, self.oid
+
+    def extent(self) -> Extent | None:
+        """A reference's extent is the head of its record, the last bytes of
+        its wire encoding; a master's is that of its geometry, None when its
+        GeoJSON does not parse."""
+        if self.is_reference:
+            return _EXTENT.unpack_from(self.wire, len(self.wire) - _REFERENCE.size)
+        if self._extent is None:
+            try:
+                body = decode_object_payload(self.packet.payload).body
+                self._extent = geometry_extent(parse_feature(body).geometry)
+            except ValueError:
+                self._extent = _UNREADABLE
+        return None if self._extent == _UNREADABLE else self._extent
+
+    def can_match(self, predicate: Predicate) -> bool:
+        """The post-filter's tests that run before its exact match: validity
+        against the interval, extent against the box. A row that fails them
+        cannot be part of the query's result; a master whose extent cannot
+        be read is left for the front-end to judge."""
+        if not temporal_match(self.valid_time, predicate.interval):
+            return False
+        extent = self.extent()
+        return extent is None or extent_match(extent, predicate.box, predicate.mode)

@@ -136,6 +136,17 @@ def test_membership_batch_limit():
     assert srv._on_member(interest.name, interest) is None  # oversize rejected
 
 
+@pytest.mark.parametrize("params", [None, b"", b"\x00\x02\x00", b"\x00\x01\x00\x02\xff\xfe"])
+def test_malformed_membership_request_is_counted_and_unanswered(params):
+    srv, _, _ = _server_env()
+    interest = InterestPacket(Name(["OGB", "BF", "member", "1", "0"]), app_params=params)
+    assert srv._on_member(interest.name, interest) is None
+    assert srv.malformed_requests == 1
+    good = InterestPacket(interest.name, app_params=encode_membership_request([("p", "t", "c")]))
+    assert srv._on_member(good.name, good) is not None
+    assert srv.malformed_requests == 1
+
+
 def test_measured_fp_rate_close_to_analytic():
     rng = random.Random(31)
     n = 2000

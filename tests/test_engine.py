@@ -1,5 +1,7 @@
+import json
 import socket
 import struct
+from hashlib import sha256
 
 import pytest
 
@@ -20,7 +22,7 @@ from geoshard.engine import (
     STATUS_OK,
     STATUS_WRONG_SHARD,
 )
-from geoshard.geogrid import LEVELS, TileId, level0, parse_feature
+from geoshard.geogrid import LEVELS, BBox, TileId, level0, parse_feature
 from geoshard.icn import Consumer, InterestPacket, Name, Producer, face_pair
 from geoshard.icn.clock import ManualClock
 from geoshard.icn.faces import MAX_FRAME, frame
@@ -35,6 +37,7 @@ from geoshard.icn.packets import (
 from geoshard.naming import (
     DELETE_MARK,
     TILE_MARK,
+    Predicate,
     ip_res_name,
     object_batch,
     object_name,
@@ -43,7 +46,7 @@ from geoshard.naming import (
     route_prefix,
     tile_query_name,
 )
-from geoshard.objects import build_object_packets, decode_object_payload
+from geoshard.objects import build_object_packets, decode_object_payload, encode_object_payload
 from geoshard.trust import (
     SCHEME_HMAC,
     AccessOp,
@@ -77,9 +80,14 @@ def select_names(engine, tile, tid, cid, period=None):
         return [r.name for r in engine._select(tile, tid, cid, period)]
 
 
-def tile_batch(tile, tid, cid, period=None):
+# a predicate every row can match
+ANYWHERE = Predicate(BBox.of(-180.0, -90.0, 180.0, 90.0), "intersect", None)
+
+
+def tile_batch(tile, tid, cid, period=None, predicate=ANYWHERE):
     """(batch name, parameters) of a one-tile batch to the owner of `tile`."""
-    return object_batch(level0(tile), tid, cid, [tile_query_name(tile, tid, cid, period)], TILE_MARK)
+    qnames = [tile_query_name(tile, tid, cid, period)]
+    return object_batch(level0(tile), tid, cid, qnames, TILE_MARK, predicate)
 
 
 def delete_batch(names, signer, owner=TileId.at(0, 12, 41)):
@@ -225,7 +233,7 @@ def test_tile_query_allowed_for_readonly_tenant_user():
 def _signed_batch(env, tiles, tid="Foo", user="u1"):
     """A batch of plain tile queries for `tiles`, addressed to the first tile's owner."""
     qnames = [tile_query_name(t, "Foo" if i == 0 else tid, "poi") for i, t in enumerate(tiles)]
-    name, params = object_batch(level0(tiles[0]), "Foo", "poi", qnames, TILE_MARK)
+    name, params = object_batch(level0(tiles[0]), "Foo", "poi", qnames, TILE_MARK, ANYWHERE)
     return name, sign_interest(env.users[user], InterestPacket(name, app_params=params))
 
 
@@ -269,9 +277,110 @@ def test_batches_sharing_a_tile_share_its_cached_rows():
     after = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
     assert env.engine.stats.qdata_hits == 1
     assert env.engine.stats.index_lookups == lookups + 1  # only `second` was selected
-    assert [p.name for p in before] == [p.name for p in after[: len(before)]]
-    assert {p.name[-1] for p in after} == {"o1"}
-    assert len(after) == 2  # the level-2 master and the level-1 reference
+    assert len(env.engine._qdata) == 3
+    # `second` holds o1's level-1 reference, but one copy per identity is
+    # sent: the level-2 master of the shared tile
+    assert [p.name for p in before] == [p.name for p in after]
+    assert [p.name[-1] for p in after] == ["o1"]
+    assert not decode_object_payload(after[0].payload).is_reference
+
+
+def _raw_tile_batch(env, params):
+    """A u1-signed tile batch to e1 whose parameters are `params`, named by their digest."""
+    name = route_prefix(TileId.at(0, 12, 41)).append(
+        TILE_MARK, "Foo", "poi", sha256(params).hexdigest()
+    )
+    return name, sign_interest(env.users["u1"], InterestPacket(name, app_params=params))
+
+
+@pytest.mark.parametrize("case", [
+    "no predicate", "unknown mode", "degenerate box", "box out of range", "inverted interval",
+    "interval of strings", "box changed under the old digest",
+])
+def test_tile_batch_without_a_well_formed_predicate_is_refused_whole(case):
+    env = Env()
+    env.insert_feature(feature_dict("o1", (12.4, 41.4)))
+    tile = TileId.at(2, 12.4, 41.4)
+    qnames = [tile_query_name(tile, "Foo", "poi")]
+    if case == "no predicate":
+        name, params = object_batch(level0(tile), "Foo", "poi", qnames, TILE_MARK)
+        interest = sign_interest(env.users["u1"], InterestPacket(name, app_params=params))
+    elif case == "box changed under the old digest":
+        name, _ = tile_batch(tile, "Foo", "poi", predicate=Predicate(
+            BBox.of(12.0, 41.0, 12.1, 41.1), "intersect", None))
+        _, params = tile_batch(tile, "Foo", "poi")
+        interest = sign_interest(env.users["u1"], InterestPacket(name, app_params=params))
+    else:
+        predicate = {"box": [12.0, 41.0, 13.0, 42.0], "mode": "intersect", "interval": None}
+        predicate.update({
+            "unknown mode": {"mode": "within"},
+            "degenerate box": {"box": [12.5, 41.0, 12.5, 42.0]},
+            "box out of range": {"box": [12.0, 41.0, 13.0, 91.0]},
+            "inverted interval": {"interval": [600, 0]},
+            "interval of strings": {"interval": ["0", "600"]},
+        }[case])
+        listed = [list(n.components) for n in qnames]
+        name, interest = _raw_tile_batch(env, json.dumps({"names": listed, **predicate}).encode())
+    assert env.engine.handle_interest(name, interest) is None
+    assert env.engine.stats.denied_queries == 1
+    assert env.engine.stats.index_lookups == 0
+    assert env.engine.stats.rows_sent == 0
+
+
+def test_engine_holding_a_master_and_references_of_an_object_sends_only_the_master():
+    env = Env()
+    env.insert_feature(feature_dict("m1", (12.45, 41.45)))
+    levels = [TileId.at(0, 12, 41), TileId.at(1, 12.4, 41.4), TileId.at(2, 12.45, 41.45)]
+    for tiles in (levels, levels[::-1]):
+        name, interest = _signed_batch(env, tiles)
+        rows = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
+        assert [p.name for p in rows] == [object_name(levels[2], "Foo", "poi", "u1", "m1")]
+    # without the master's tile, one reference stands for the object
+    name, interest = _signed_batch(env, levels[:2])
+    rows = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
+    assert len(rows) == 1 and decode_object_payload(rows[0].payload).is_reference
+    assert env.engine.stats.rows_sent == 3
+
+
+def test_tile_batch_sends_only_rows_that_can_match_its_predicate():
+    env = Env()
+    env.insert_feature(feature_dict("inside", (12.451, 41.451)))
+    env.insert_feature(feature_dict("outside", (12.459, 41.459)))
+    env.insert_feature(feature_dict("wide", [(12.452, 41.452), (12.61, 41.61)], multi=True))
+    env.insert_feature(feature_dict("late", (12.453, 41.453), valid=(7000, 7100)))
+    tile = TileId.at(2, 12.45, 41.45)
+    box = BBox.of(12.45, 41.45, 12.455, 41.455)
+
+    def sent(mode, interval=None):
+        name, params = tile_batch(tile, "Foo", "poi", predicate=Predicate(box, mode, interval))
+        interest = sign_interest(env.users["u1"], InterestPacket(name, app_params=params))
+        rows = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
+        return [p.name[-1] for p in rows]
+
+    assert sent("intersect") == ["inside", "late", "wide"]
+    assert env.engine.stats.rows_filtered == 1
+    assert sent("include") == ["inside", "late"]  # wide's extent leaves the box
+    assert sent("intersect", (0, 6000)) == ["inside", "wide"]
+    assert sent("intersect", (7100, 9000)) == ["inside", "late", "wide"]  # closed interval
+    assert env.engine.stats.rows_filtered == 1 + 2 + 2 + 1
+    assert env.engine.stats.rows_sent == 3 + 2 + 2 + 3
+    assert env.engine.stats.index_lookups == 1  # one cached selection answers every predicate
+
+
+def test_master_whose_geojson_does_not_parse_is_left_to_the_frontend():
+    env = Env()
+    tile = TileId.at(2, 12.45, 41.45)
+    bad = DataPacket(
+        object_name(tile, "Foo", "poi", "u1", "bad"),
+        encode_object_payload(False, None, b"not geojson"),
+    )
+    assert env.engine.bulk_insert([data_signer(env.users["u1"])(bad)]) == [STATUS_OK]
+    box = BBox.of(12.0, 41.0, 12.1, 41.1)  # far from the tile
+    for mode in ("intersect", "include"):
+        name, params = tile_batch(tile, "Foo", "poi", predicate=Predicate(box, mode, None))
+        interest = sign_interest(env.users["u1"], InterestPacket(name, app_params=params))
+        rows = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
+        assert [p.name[-1] for p in rows] == ["bad"]
 
 
 def _fetch_over_a_face(env, name, interest):
@@ -323,7 +432,7 @@ def test_segments_of_two_reply_builds_are_refused():
 def _signed_period_batch(env, tile, periods):
     """A batch of u1's queries of `tile`, one per period."""
     qnames = [tile_query_name(tile, "Foo", "poi", period) for period in periods]
-    name, params = object_batch(level0(tile), "Foo", "poi", qnames, TILE_MARK)
+    name, params = object_batch(level0(tile), "Foo", "poi", qnames, TILE_MARK, ANYWHERE)
     return name, sign_interest(env.users["u1"], InterestPacket(name, app_params=params))
 
 

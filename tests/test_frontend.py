@@ -334,34 +334,24 @@ def test_include_query_over_references_fetches_and_checks_nothing(cluster, monke
     coords = [(12.83, 42.13), (12.87, 42.67)]
     geometry = {"type": "MultiPoint", "coordinates": [list(c) for c in coords]}
     assert fe.insert(feature_dict("wide", coords, multi=True)).ok
-    checked, references = [], []
-    real_check = fe._check_provenance
-    real_decode = frontend_mod.decode_object_payload
+    checked = _count_provenance(monkeypatch, fe)
 
-    def counting_check(pkt):
-        checked.append(pkt.name)
-        return real_check(pkt)
+    def engines(counter):
+        return {n: getattr(cluster.engine(n).stats, counter) for n in cluster.engines}
 
-    def counting_decode(raw):
-        payload = real_decode(raw)
-        references.append(payload.is_reference)
-        return payload
-
-    monkeypatch.setattr(fe, "_check_provenance", counting_check)
-    monkeypatch.setattr(frontend_mod, "decode_object_payload", counting_decode)
-    def fetches():
-        return {n: cluster.engine(n).stats.object_fetches for n in cluster.engines}
-
-    before = fetches()
+    fetches, filtered = engines("object_fetches"), engines("rows_filtered")
     try:
-        # the level-1 tile 12.8/42.1 answers with a reference; one point lies outside
+        # the level-1 tile 12.8/42.1 holds a reference; one point lies outside
         box = BBox.of(12.8, 42.1, 12.9, 42.2)
-        assert fe.range_query(RangeQuery(box, "Foo", "poi", mode="include", k=1)).objects == []
-        assert any(references)
+        res = fe.range_query(RangeQuery(box, "Foo", "poi", mode="include", k=1))
+        assert res.objects == []
+        assert res.stats.rows_received == 0  # the engine never sends the outside reference
+        assert engines("rows_filtered") != filtered
         assert checked == []
-        assert fetches() == before
+        assert engines("object_fetches") == fetches
         res = fe.range_query(RangeQuery(box, "Foo", "poi", mode="intersect", k=1))
         assert res.oids == {"wide"}
+        assert res.stats.rows_received == 1
         assert checked
     finally:
         fe.delete("wide", "Foo", "poi", "u1", geometry)
@@ -429,6 +419,23 @@ def test_prefilter_falls_back_when_service_unavailable(cluster):
         assert res.stats.bf_fallback
     finally:
         fe.bf_client = old
+
+
+def test_bloom_fallbacks_are_counted_on_the_frontend(cluster):
+    fe = cluster.frontend_as("Foo", "poi", "u1")
+
+    class Broken:
+        def membership(self, items):
+            raise ValidationError("membership reply not signed by the filter server")
+
+    box = BBox.of(12.505, 41.505, 12.515, 41.515)
+    assert not fe.range_query(RangeQuery(box, "Foo", "poi", use_bf=True, k=5)).stats.bf_fallback
+    assert fe.bf_fallbacks == 0
+    fe.bf_client = Broken()
+    for _ in range(2):
+        assert fe.range_query(RangeQuery(box, "Foo", "poi", use_bf=True, k=5)).stats.bf_fallback
+    fe.range_query(RangeQuery(box, "Foo", "poi", use_bf=False, k=5))  # asks no filter
+    assert fe.bf_fallbacks == 2
 
 
 def test_range_query_prunes_void_tiles_with_the_bloom_filter(cluster):
@@ -1115,6 +1122,48 @@ def test_interval_query_over_several_periods_matches_the_oracle(monkeypatch):
         cluster.close()
 
 
+def test_predicates_carried_in_tile_batches_keep_results_equal_to_the_oracle():
+    cluster = Cluster(make_spec())
+    try:
+        rng = random.Random(53)
+        fe = cluster.frontend_as("Foo", "poi", "u1")
+        features = []
+        for i in range(90):
+            pts = [(rng.uniform(12.0, 13.99), rng.uniform(41.0, 42.99)) for _ in range(4)]
+            if i % 3 == 0:  # multipoints, some spanning engines
+                obj = feature_dict(f"mp{i}", pts[: 2 + i % 3], multi=True)
+            else:
+                obj = feature_dict(f"p{i}", pts[0])
+            if i % 4:
+                a = rng.randrange(0, 40_000) // 60 * 60 + rng.choice((0, 0, 1, 59))
+                obj["temporalExtent"] = {
+                    "validTime": {"type": "interval", "value": [a, a + rng.randrange(0, 20_000)]}
+                }
+            assert fe.insert(obj).ok
+            features.append(obj)
+        intervals = [(6_000, 30_000), (3_600, 7_260), (1_234, 25_321)]
+        assert all(len(temporal_decompose(iv).periods) > 1 for iv in intervals)
+        boxes = [BBox.of(12.0, 41.0, 13.99, 42.99), BBox.of(12.5, 41.5, 13.5, 42.5)]
+        for _ in range(2):
+            cx, cy = rng.uniform(12.0, 13.5), rng.uniform(41.0, 42.5)
+            boxes.append(BBox.of(cx, cy, cx + rng.uniform(0.05, 0.5), cy + rng.uniform(0.05, 0.5)))
+        received = 0
+        for mode in ("intersect", "include"):
+            for use_bf in (False, True):
+                for interval in intervals:
+                    for box in boxes:
+                        q = RangeQuery(box, "Foo", "poi", mode=mode, interval=interval, k=20,
+                                       use_bf=use_bf)
+                        res = fe.range_query(q)
+                        assert res.oids == _oracle(features, q), (mode, use_bf, interval, box)
+                        received += res.stats.rows_received
+        engines = [cluster.engine(n).stats for n in cluster.engines]
+        assert sum(s.rows_filtered for s in engines) > 0
+        assert received == sum(s.rows_sent for s in engines)  # every reply in one segment
+    finally:
+        cluster.close()
+
+
 # ---------------------------------------------------------------------------
 # service endpoint and config files
 
@@ -1137,6 +1186,7 @@ def test_service_endpoint_roundtrip():
         )
         assert res["ok"]
         assert [f["properties"]["oid"] for f in res["objects"]] == ["svc1"]
+        assert res["stats"]["rows_received"] == 1
         dele = client.call(
             {
                 "op": "delete",

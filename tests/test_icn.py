@@ -36,7 +36,6 @@ from geoshard.icn.packets import (
     TYPE_DATA,
     decode_packet_stream,
     encode_packet_stream,
-    split_packet_stream,
 )
 
 
@@ -165,11 +164,11 @@ def test_codec_rejects_every_proper_prefix_and_trailing_bytes(pkt):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(_interests(), _data()), max_size=4))
-def test_split_packet_stream_gives_each_framed_item(pkts):
-    stream = encode_packet_stream(pkts)
-    items = split_packet_stream(stream)
-    assert b"".join(items) == stream
-    assert [decode_packet_stream(bytes(item)) for item in items] == [[pkt] for pkt in pkts]
+def test_joined_one_packet_streams_are_the_stream_of_their_packets(pkts):
+    # an engine stores each row as a one-packet stream and replies with their join
+    items = [encode_packet_stream([pkt]) for pkt in pkts]
+    assert b"".join(items) == encode_packet_stream(pkts)
+    assert decode_packet_stream(b"".join(items)) == pkts
 
 
 def _data_wire(*components: bytes) -> bytes:

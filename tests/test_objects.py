@@ -1,21 +1,25 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoshard.frontend import extent_match, spatial_match
-from geoshard.geogrid import BBox, Feature, Geometry, GeometryKind, parse_feature
-from geoshard.icn.packets import encode_packet
-from geoshard.naming import object_name
+from geoshard.frontend import RangeQuery, _matches
+from geoshard.geogrid import BBox, Feature, Geometry, GeometryKind, TileId, parse_feature
+from geoshard.icn.packets import DataPacket, encode_packet, encode_packet_stream
+from geoshard.naming import Predicate, object_name
 from geoshard.objects import (
     ObjectFormatError,
+    StoredObject,
     build_object_packets,
     decode_object_payload,
     encode_object_payload,
+    extent_match,
     geometry_extent,
     master_digest,
     master_tile,
+    spatial_match,
 )
 from geoshard.trust import SCHEME_HMAC, data_signer, make_anchor
 
@@ -31,11 +35,11 @@ COORD = st.one_of(_grid(0), _grid(1), _grid(2), st.floats(12.0, 14.0))
 
 
 @st.composite
-def boxes(draw):
-    a = draw(COORD)
-    b = draw(COORD.filter(lambda v: v != a))
-    c = draw(COORD)
-    d = draw(COORD.filter(lambda v: v != c))
+def boxes(draw, coord=COORD):
+    a = draw(coord)
+    b = draw(coord.filter(lambda v: v != a))
+    c = draw(coord)
+    d = draw(coord.filter(lambda v: v != c))
     return BBox.of(min(a, b), min(c, d), max(a, b), max(c, d))
 
 
@@ -49,8 +53,8 @@ def _near(edges: tuple[float, ...]):
 
 
 @st.composite
-def box_and_geometry(draw):
-    box = draw(boxes())
+def box_and_geometry(draw, coord=COORD):
+    box = draw(boxes(coord))
     lng = _near((box.min.lng, box.max.lng))
     lat = _near((box.min.lat, box.max.lat))
     points = draw(st.lists(st.tuples(lng, lat), min_size=1, max_size=5))
@@ -74,6 +78,63 @@ def test_extent_prefilter_never_drops_a_match(case, mode):
     assert by_extent or not exact
     if mode == "include" or geometry.kind is GeometryKind.OTHER:
         assert by_extent == exact
+
+
+def _geojson(geometry: Geometry) -> dict:
+    """The GeoJSON geometry that parses back to `geometry`'s points, or for
+    other kinds to a polygon over its box."""
+    if geometry.kind is GeometryKind.POINT:
+        (p,) = geometry.points
+        return {"type": "Point", "coordinates": [p.lng, p.lat]}
+    if geometry.kind is GeometryKind.MULTIPOINT:
+        return {"type": "MultiPoint", "coordinates": [[p.lng, p.lat] for p in geometry.points]}
+    lo, hi = geometry.bbox.min, geometry.bbox.max
+    ring = [[lo.lng, lo.lat], [hi.lng, lo.lat], [hi.lng, hi.lat], [lo.lng, hi.lat], [lo.lng, lo.lat]]
+    return {"type": "Polygon", "coordinates": [ring]}
+
+
+MINUTE = st.integers(0, 200).map(lambda m: 60 * m)
+SECOND = st.one_of(MINUTE, MINUTE.map(lambda s: s + 1), MINUTE.map(lambda s: s - 1),
+                   st.integers(-60, 12_060))
+
+
+def _span(bound):
+    return st.tuples(bound, bound).map(sorted).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    box_and_geometry(st.one_of(_grid(2), _grid(2), COORD)),
+    st.sampled_from(MODES),
+    st.one_of(st.none(), _span(MINUTE)),
+    st.one_of(st.none(), _span(SECOND)),
+)
+def test_engine_row_filter_never_drops_a_match(case, mode, interval, valid_time):
+    box, geometry = case
+    raw = {
+        "type": "Feature",
+        "geometry": _geojson(geometry),
+        "properties": {"oid": "o", "tid": "Foo", "uid": "u1", "cid": "poi"},
+    }
+    if valid_time is not None:
+        raw["temporalExtent"] = {"validTime": {"type": "interval", "value": list(valid_time)}}
+    feature = parse_feature(raw)
+    # a master and a reference of the object, as an engine stores them
+    tile = TileId(2, 1200, 4100)
+    record = struct.pack("!ddddii16s", *geometry_extent(feature.geometry), 1200, 4100, bytes(16))
+    packets = [
+        DataPacket(object_name(tile, "Foo", "poi", "u1", "o"),
+                   encode_object_payload(False, feature.valid_time, feature.to_json_bytes())),
+        DataPacket(object_name(TileId(1, 120, 410), "Foo", "poi", "u1", "o"),
+                   encode_object_payload(True, feature.valid_time, record)),
+    ]
+    rows = [StoredObject.from_packet(pkt, encode_packet_stream([pkt])) for pkt in packets]
+    predicate = Predicate(box, mode, interval)
+    if _matches(feature, RangeQuery(box, "Foo", "poi", mode=mode, interval=interval)):
+        # every row of the object shares its extent and validity
+        assert all(row.can_match(predicate) for row in rows)
+    # a reference reads its extent from its wire bytes, a master from its GeoJSON
+    assert {row.extent() for row in rows} == {geometry_extent(feature.geometry)}
 
 
 @st.composite
