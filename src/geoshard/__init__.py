@@ -11,7 +11,6 @@ from geoshard.geogrid import (
     parent,
     parse_feature,
     parse_tile_prefix,
-    tile_bbox,
     tile_of,
     tile_prefix,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "parse_feature",
     "parse_tile_prefix",
     "temporal_decompose",
-    "tile_bbox",
     "tile_of",
     "tile_prefix",
 ]

@@ -3,8 +3,9 @@
 Levels 0/1/2 have tile sides of 1, 0.1 and 0.01 degrees; each tile splits
 into 100 children (10 per axis). A tile is identified by its south-west
 corner and owns the half-open square [sw, sw + side) on both axes, so every
-point belongs to exactly one tile per level. All functions here are pure and
-safe to call concurrently.
+point belongs to exactly one tile per level. A box, by contrast, is closed:
+:func:`tile_span` is the one rule that joins the two. All functions here are
+pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ GPS_ID = "GPS-ID"
 # closer than ~1e-9 degrees (sub-micrometre) to a boundary are treated as
 # lying on it.
 GRID_EPS = 1e-7
+
+# The grid's open north-east edge (lng, lat): no tile owns a point on it.
+GRID_END = (180.0, 90.0)
 
 
 class GridError(ValueError):
@@ -115,22 +119,6 @@ class BBox:
         """Closed containment on both axes."""
         return self.min.lng <= c.lng <= self.max.lng and self.min.lat <= c.lat <= self.max.lat
 
-    def contains_box(self, other: "BBox") -> bool:
-        return (
-            self.min.lng <= other.min.lng
-            and self.min.lat <= other.min.lat
-            and other.max.lng <= self.max.lng
-            and other.max.lat <= self.max.lat
-        )
-
-    def intersects_box(self, other: "BBox") -> bool:
-        return (
-            self.min.lng < other.max.lng
-            and other.min.lng < self.max.lng
-            and self.min.lat < other.max.lat
-            and other.min.lat < self.max.lat
-        )
-
 
 class GeometryKind(Enum):
     POINT = "Point"
@@ -182,19 +170,32 @@ class Geometry:
         return cls(GeometryKind.OTHER, (), bbox)
 
 
-def _snap_index(value: float, scale: int) -> int:
+def _snap_index(value: float, scale: float) -> int:
     return math.floor(value * scale + GRID_EPS)
 
 
-def _span_end(value: float, scale: int) -> int:
-    """Largest index whose half-open tile still overlaps values below `value`."""
-    return math.ceil(value * scale - GRID_EPS) - 1
+def tile_span(lo: float, hi: float, scale: float, end: float = math.inf) -> tuple[int, int]:
+    """First and last index of the tiles of side ``1/scale`` meeting [lo, hi].
+
+    The grid's one boundary rule: the interval is closed and each tile owns
+    the half-open [sw, sw + side), so the span runs from the tile holding
+    `lo` to the tile holding `hi`, snapped as :func:`tile_of` snaps a point.
+    An interval whose upper edge lies on a grid line therefore also meets
+    the tile beyond that line, which is where a point on the edge is stored.
+    The span is clamped to the last tile below `end`, the grid's open edge
+    (lng 180, lat 90), so a box reaching that edge still has tiles.
+    """
+    first, last = _snap_index(lo, scale), _snap_index(hi, scale)
+    if last >= end * scale:
+        last = round(end * scale) - 1
+        first = min(first, last)
+    return first, last
 
 
 def tile_of(c: GeoCoord, level: int) -> TileId:
     """Tile containing `c` (south-west inclusive, north-east exclusive)."""
     _check_level(level)
-    if c.lng >= 180.0 or c.lat >= 90.0:
+    if c.lng >= GRID_END[0] or c.lat >= GRID_END[1]:
         raise GridError(f"point on the open boundary belongs to no tile: {c}")
     s = 10 ** level
     return TileId(level, _snap_index(c.lng, s), _snap_index(c.lat, s))
@@ -239,14 +240,6 @@ def parse_tile_prefix(n: Name) -> TileId:
     return TileId(level, lng_idx, lat_idx)
 
 
-def tile_bbox(t: TileId) -> BBox:
-    s = 10 ** t.level
-    return BBox(
-        GeoCoord(t.lng_idx / s, t.lat_idx / s),
-        GeoCoord((t.lng_idx + 1) / s, (t.lat_idx + 1) / s),
-    )
-
-
 def children(t: TileId) -> list[TileId]:
     """The 100 next-level tiles partitioning `t`."""
     if t.level >= max(LEVELS):
@@ -272,11 +265,11 @@ def level0(t: TileId) -> TileId:
 
 
 def tiles_overlapping_box(box: BBox, level: int) -> set[TileId]:
-    """Level tiles whose half-open square has positive overlap with `box`."""
+    """Level tiles meeting the closed `box` (see :func:`tile_span`)."""
     _check_level(level)
     s = 10 ** level
-    i0, i1 = _snap_index(box.min.lng, s), _span_end(box.max.lng, s)
-    j0, j1 = _snap_index(box.min.lat, s), _span_end(box.max.lat, s)
+    i0, i1 = tile_span(box.min.lng, box.max.lng, s, GRID_END[0])
+    j0, j1 = tile_span(box.min.lat, box.max.lat, s, GRID_END[1])
     return {TileId(level, i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)}
 
 

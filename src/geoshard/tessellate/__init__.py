@@ -1,33 +1,28 @@
-"""Tessellation of range-query boxes into disjoint multi-level tile covers.
+"""Tessellation of range queries: a box into a disjoint multi-level tile
+cover, a time interval into grid-aligned periods.
 
-Three strategies: minimum stretch (all finest tiles), minimum
-stretch-and-tiles (hierarchy reduction), and the greedy constrained cover
-bounded by a maximum tile count. The same machinery, specialized to one
-dimension with sizes of 1/10/100/1000/10000 minutes, decomposes time
-intervals into at most five covering periods.
+Both are the greedy constrained cover of :mod:`geoshard.tessellate.core`,
+bounded by a tile count. A box is covered by every tile that meets it as a
+closed box (:func:`geoshard.geogrid.tile_span`).
+
+A time interval [start, end] of epoch seconds is closed too. A period
+sub-query returns the rows valid at any second from the period's first
+second to its end second, both included, since the engine's period test
+(:func:`geoshard.objects.temporal_match`) is closed; rows are not split by
+period. So the periods holding the seconds start..end-1 also serve the end
+second: when `end` falls on a period boundary, the period ending there
+accepts it, and no period starting at `end` is asked. Periods are
+10000/1000/100/10/1 minutes long.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from geoshard.geogrid import AXIS_FACTOR, LEVELS, BBox, TileId
-from geoshard.tessellate.core import (
-    BoxRegion,
-    CellSetRegion,
-    CoverResult,
-    GridSpec,
-    IndexTree,
-    InstanceTooLarge,
-    brute_force_cover,
-    constrained_cover,
-    min_stretch_cover,
-    mst_cover,
-)
-from geoshard.tessellate.core import tile_stretch as _core_tile_stretch
+from geoshard.geogrid import AXIS_FACTOR, GRID_END, LEVELS, BBox, TileId
+from geoshard.tessellate.core import BoxRegion, GridSpec, constrained_cover
 
-GEO_GRID = GridSpec(levels=len(LEVELS), branch=AXIS_FACTOR, dims=2, cell0=1.0)
+GEO_GRID = GridSpec(levels=len(LEVELS), branch=AXIS_FACTOR, dims=2, cell0=1.0, end=GRID_END)
 
 # Period hierarchy: 10000/1000/100/10/1 minutes.
 PERIOD_GRID = GridSpec(levels=5, branch=10, dims=1, cell0=10000.0)
@@ -35,27 +30,10 @@ PERIOD_SIZES_MINUTES = (10000, 1000, 100, 10, 1)
 MAX_PERIODS = 5
 
 __all__ = [
-    "GEO_GRID",
-    "MAX_PERIODS",
-    "PERIOD_GRID",
-    "PERIOD_SIZES_MINUTES",
     "PeriodSet",
     "Tessellation",
-    "BoxRegion",
-    "CellSetRegion",
-    "CoverResult",
-    "GridSpec",
-    "IndexTree",
-    "InstanceTooLarge",
-    "brute_force_optimal",
-    "build_index_tree",
     "constrained_tessellation",
-    "min_stretch",
-    "min_stretch_and_tiles",
-    "mst_reduce",
-    "stretch",
     "temporal_decompose",
-    "tile_stretch",
 ]
 
 
@@ -65,7 +43,6 @@ class Tessellation:
 
     tiles: tuple[TileId, ...]
     query: BBox
-    stretch: float
     constraint_respected: bool
 
     def __len__(self) -> int:
@@ -80,60 +57,13 @@ class PeriodSet:
     query_interval: tuple[int, int]  # epoch seconds
     constraint_respected: bool
 
-    def period_seconds(self) -> list[tuple[int, int]]:
-        return [(start * 60, (start + size) * 60) for start, size in self.periods]
-
-
-def _region(q: BBox) -> BoxRegion:
-    return BoxRegion(GEO_GRID, (q.min.lng, q.min.lat), (q.max.lng, q.max.lat))
-
-
-def _to_tiles(result: CoverResult) -> tuple[TileId, ...]:
-    return tuple(TileId(level, idx[0], idx[1]) for level, idx in result.tiles)
-
-
-def _wrap(q: BBox, result: CoverResult) -> Tessellation:
-    return Tessellation(_to_tiles(result), q, result.stretch, result.constraint_respected)
-
-
-def min_stretch(q: BBox) -> Tessellation:
-    """All level-2 tiles intersecting the box."""
-    return _wrap(q, min_stretch_cover(_region(q)))
-
-
-def min_stretch_and_tiles(q: BBox) -> Tessellation:
-    """Minimum-stretch cover with full sibling sets replaced by parents."""
-    return _wrap(q, mst_cover(_region(q)))
-
-
-def build_index_tree(tiles: Iterable[TileId]) -> IndexTree:
-    return IndexTree.from_leaves(GEO_GRID, ((t.level, (t.lng_idx, t.lat_idx)) for t in tiles))
-
-
-def mst_reduce(tree: IndexTree) -> IndexTree:
-    """Reduced copy: no node keeps its full complement of 100 leaf children."""
-    return tree.copy().reduce()
-
 
 def constrained_tessellation(q: BBox, k: int) -> Tessellation:
     """Greedy cover with at most `k` tiles (level-0 fallback flagged)."""
-    return _wrap(q, constrained_cover(_region(q), k))
-
-
-def brute_force_optimal(q: BBox, k: int, cell_bound: int = 64) -> Tessellation:
-    """Exhaustively verified minimum-stretch cover with at most `k` tiles."""
-    return _wrap(q, brute_force_cover(_region(q), k, cell_bound))
-
-
-def stretch(t: Tessellation) -> float:
-    """Covered area over query area; 1 for an exact cover."""
-    covered = sum(GEO_GRID.tile_area(tile.level) for tile in t.tiles)
-    return covered / t.query.area
-
-
-def tile_stretch(tile: TileId, q: BBox) -> float:
-    """Tile area over the area of its intersection with the box."""
-    return _core_tile_stretch(_region(q), (tile.level, (tile.lng_idx, tile.lat_idx)))
+    region = BoxRegion(GEO_GRID, (q.min.lng, q.min.lat), (q.max.lng, q.max.lat))
+    result = constrained_cover(region, k)
+    tiles = tuple(TileId(level, i, j) for level, (i, j) in result.tiles)
+    return Tessellation(tiles, q, result.constraint_respected)
 
 
 def temporal_decompose(interval: tuple[int, int], max_periods: int = MAX_PERIODS) -> PeriodSet:
@@ -146,7 +76,7 @@ def temporal_decompose(interval: tuple[int, int], max_periods: int = MAX_PERIODS
     start_s, end_s = int(interval[0]), int(interval[1])
     if start_s >= end_s:
         raise ValueError(f"empty time interval: {interval}")
-    region = BoxRegion(PERIOD_GRID, (start_s / 60.0,), (end_s / 60.0,))
+    region = BoxRegion(PERIOD_GRID, (start_s / 60.0,), (end_s / 60.0,), reach=((end_s - 1) / 60.0,))
     result = constrained_cover(region, max_periods)
     periods = []
     for level, (i,) in result.tiles:

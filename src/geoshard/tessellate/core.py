@@ -1,10 +1,9 @@
-"""Grid-generic covering machinery behind the tessellation API.
+"""The greedy constrained cover behind the tessellation API.
 
 Everything here works on abstract tiles ``(level, idx)`` where ``idx`` is a
-tuple of integers, one per dimension. Level 0 is the coarsest; each tile
-splits into ``branch`` children per axis. The production geographic grid,
-the reduced-ratio verification grid and the one-dimensional period hierarchy
-are all instances of :class:`GridSpec`.
+tuple of integers, one per dimension: two for the geographic grid, one for
+the period ladder. Level 0 is the coarsest; each tile splits into
+``branch`` children per axis. Both grids are instances of :class:`GridSpec`.
 """
 
 from __future__ import annotations
@@ -12,29 +11,25 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
+
+from geoshard.geogrid import tile_span
 
 Tile = tuple[int, tuple[int, ...]]
-
-_EPS = 1e-7
-
-
-class InstanceTooLarge(ValueError):
-    """Raised when an exhaustive search would exceed its size guard."""
 
 
 @dataclass(frozen=True, slots=True)
 class GridSpec:
-    """A hierarchical grid: `levels` levels, `branch` children per axis."""
+    """A hierarchical grid: `levels` levels, `branch` children per axis.
+
+    `end` is, per axis, the grid's open upper edge, where spans are clamped.
+    """
 
     levels: int
     branch: int
     dims: int
     cell0: float = 1.0
-
-    def __post_init__(self):
-        if self.levels < 1 or self.branch < 2 or self.dims < 1 or self.cell0 <= 0:
-            raise ValueError(f"bad grid spec: {self}")
+    end: tuple[float, ...] = (math.inf,)
 
     @property
     def finest(self) -> int:
@@ -43,9 +38,6 @@ class GridSpec:
     def side(self, level: int) -> float:
         return self.cell0 / self.branch ** level
 
-    def tile_area(self, level: int) -> float:
-        return self.side(level) ** self.dims
-
     def ancestor(self, tile: Tile, level: int) -> Tile:
         tl, idx = tile
         if level > tl:
@@ -53,46 +45,28 @@ class GridSpec:
         div = self.branch ** (tl - level)
         return (level, tuple(i // div for i in idx))
 
-    def covers(self, outer: Tile, inner: Tile) -> bool:
-        """True when `inner` lies inside `outer` (equality included)."""
-        return outer[0] <= inner[0] and self.ancestor(inner, outer[0]) == outer
-
     def tile_bounds(self, tile: Tile) -> tuple[tuple[float, float], ...]:
         s = self.side(tile[0])
         return tuple((i * s, (i + 1) * s) for i in tile[1])
 
 
-class Region:
-    """A query region: the area the tessellation must cover."""
+class BoxRegion:
+    """Axis-aligned box [lo, hi]; all tile bookkeeping is index arithmetic.
 
-    grid: GridSpec
-
-    def area(self) -> float:
-        raise NotImplementedError
-
-    def intersection_area(self, tile: Tile) -> float:
-        raise NotImplementedError
-
-    def tiles_overlapping(self, level: int) -> list[Tile]:
-        raise NotImplementedError
-
-    def count_overlapping(self, level: int) -> int:
-        return len(self.tiles_overlapping(level))
-
-    def mst_leaves(self) -> list[Tile]:
-        """Leaves of the minimum stretch-and-tiles reduction."""
-        raise NotImplementedError
-
-
-class BoxRegion(Region):
-    """Axis-aligned box; all tile bookkeeping is index arithmetic.
-
-    The minimum-stretch-and-tiles leaf set is enumerated in O(boundary)
-    rather than O(area), which is what keeps large constrained tessellations
-    affordable.
+    The cover holds every tile meeting the closed box [lo, reach], by
+    :func:`geoshard.geogrid.tile_span`; `reach` is `hi` unless given.
+    Tile-stretch is measured on [lo, hi]. The minimum-stretch-and-tiles leaf
+    set is enumerated in O(boundary) rather than O(area), which is what
+    keeps large constrained tessellations affordable.
     """
 
-    def __init__(self, grid: GridSpec, lo: Sequence[float], hi: Sequence[float]):
+    def __init__(
+        self,
+        grid: GridSpec,
+        lo: Sequence[float],
+        hi: Sequence[float],
+        reach: Sequence[float] | None = None,
+    ):
         if len(lo) != grid.dims or len(hi) != grid.dims:
             raise ValueError("box dimensionality does not match the grid")
         if any(a >= b for a, b in zip(lo, hi)):
@@ -100,22 +74,12 @@ class BoxRegion(Region):
         self.grid = grid
         self.lo = tuple(float(v) for v in lo)
         self.hi = tuple(float(v) for v in hi)
+        self.reach = self.hi if reach is None else tuple(float(v) for v in reach)
 
     def _span(self, level: int) -> list[tuple[int, int]]:
-        """Inclusive index range of overlapping tiles, per dimension."""
+        """Inclusive index range of the tiles meeting the box, per dimension."""
         scale = self.grid.branch ** level / self.grid.cell0
-        out = []
-        for a, b in zip(self.lo, self.hi):
-            i0 = math.floor(a * scale + _EPS)
-            i1 = math.ceil(b * scale - _EPS) - 1
-            out.append((i0, max(i0, i1)))
-        return out
-
-    def area(self) -> float:
-        prod = 1.0
-        for a, b in zip(self.lo, self.hi):
-            prod *= b - a
-        return prod
+        return [tile_span(a, b, scale, end) for a, b, end in zip(self.lo, self.reach, self.grid.end)]
 
     def intersection_area(self, tile: Tile) -> float:
         prod = 1.0
@@ -126,12 +90,6 @@ class BoxRegion(Region):
             prod *= w
         return prod
 
-    def count_overlapping(self, level: int) -> int:
-        n = 1
-        for i0, i1 in self._span(level):
-            n *= i1 - i0 + 1
-        return n
-
     def tiles_overlapping(self, level: int) -> list[Tile]:
         ranges = [range(i0, i1 + 1) for i0, i1 in self._span(level)]
         return [(level, idx) for idx in itertools.product(*ranges)]
@@ -140,7 +98,7 @@ class BoxRegion(Region):
         """Per level, the index box of tiles that collapse in the reduction.
 
         A tile collapses when all of its children are present; at the finest
-        level "collapses" just means "overlaps the box". Empty boxes are None.
+        level "collapses" just means "meets the box". Empty boxes are None.
         """
         spans: list[list[tuple[int, int]] | None] = [None] * self.grid.levels
         spans[self.grid.finest] = self._span(self.grid.finest)
@@ -163,6 +121,7 @@ class BoxRegion(Region):
         return spans
 
     def mst_leaves(self) -> list[Tile]:
+        """Leaves of the minimum stretch-and-tiles reduction."""
         spans = self._full_spans()
         leaves: list[Tile] = []
         b = self.grid.branch
@@ -180,7 +139,8 @@ class BoxRegion(Region):
 def _box_difference(
     outer: list[tuple[int, int]], inner: list[tuple[int, int]] | None
 ) -> Iterator[tuple[int, ...]]:
-    """Cells of the `outer` index box not inside `inner` (output-sensitive)."""
+    """Cells of the one- or two-dimensional `outer` index box not inside
+    `inner` (output-sensitive)."""
     if inner is None:
         yield from itertools.product(*(range(a, b + 1) for a, b in outer))
         return
@@ -189,106 +149,14 @@ def _box_difference(
         for i in itertools.chain(range(a, ia), range(ib + 1, b + 1)):
             yield (i,)
         return
-    if len(outer) == 2:
-        (a0, b0), (a1, b1) = outer
-        (ia0, ib0), (ia1, ib1) = inner
-        for i in itertools.chain(range(a0, ia0), range(ib0 + 1, b0 + 1)):
-            for j in range(a1, b1 + 1):
-                yield (i, j)
-        for i in range(max(a0, ia0), min(b0, ib0) + 1):
-            for j in itertools.chain(range(a1, ia1), range(ib1 + 1, b1 + 1)):
-                yield (i, j)
-        return
-    for idx in itertools.product(*(range(a, b + 1) for a, b in outer)):
-        if not all(ia <= i <= ib for i, (ia, ib) in zip(idx, inner)):
-            yield idx
-
-
-class CellSetRegion(Region):
-    """Region given as an explicit set of finest-level cells.
-
-    Intended for small instances: verification grids and the exhaustive
-    oracle. Intersections are counted exactly (whole cells).
-    """
-
-    def __init__(self, grid: GridSpec, cells: Iterable[tuple[int, ...]]):
-        self.grid = grid
-        self.cells = {tuple(c) for c in cells}
-        if not self.cells:
-            raise ValueError("empty cell set")
-        # cells-per-ancestor counts, all levels
-        self._counts: dict[Tile, int] = {}
-        for c in self.cells:
-            for level in range(grid.levels):
-                anc = grid.ancestor((grid.finest, c), level)
-                self._counts[anc] = self._counts.get(anc, 0) + 1
-
-    def area(self) -> float:
-        return len(self.cells) * self.grid.tile_area(self.grid.finest)
-
-    def intersection_area(self, tile: Tile) -> float:
-        return self._counts.get(tile, 0) * self.grid.tile_area(self.grid.finest)
-
-    def tiles_overlapping(self, level: int) -> list[Tile]:
-        return sorted(t for t in self._counts if t[0] == level)
-
-    def mst_leaves(self) -> list[Tile]:
-        tree = IndexTree.from_leaves(self.grid, ((self.grid.finest, c) for c in self.cells))
-        return tree.reduce().leaf_tiles()
-
-
-class IndexTree:
-    """Explicit tessellation tree: leaves are the current cover.
-
-    Every non-root node's parent is present; leaves are pairwise disjoint and
-    their union covers the query cells the tree was built from.
-    """
-
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self.children: dict[Tile, set[Tile]] = {}
-        self.leaves: set[Tile] = set()
-
-    @classmethod
-    def from_leaves(cls, grid: GridSpec, leaves: Iterable[Tile]) -> "IndexTree":
-        tree = cls(grid)
-        for leaf in leaves:
-            tree.leaves.add(leaf)
-            node = leaf
-            while node[0] > 0:
-                parent = grid.ancestor(node, node[0] - 1)
-                kids = tree.children.setdefault(parent, set())
-                if node in kids:
-                    break
-                kids.add(node)
-                node = parent
-        return tree
-
-    def leaf_tiles(self) -> list[Tile]:
-        return sorted(self.leaves)
-
-    def reduce(self) -> "IndexTree":
-        """Minimum stretch-and-tiles reduction (in place, returns self).
-
-        Repeatedly replaces any full complement of children that are all
-        leaves with their parent, deepest parents first so collapses cascade.
-        """
-        full = self.grid.branch ** self.grid.dims
-        for level in range(self.grid.finest - 1, -1, -1):
-            for node, kids in list(self.children.items()):
-                if node[0] != level:
-                    continue
-                if len(kids) == full and kids <= self.leaves:
-                    self.leaves -= kids
-                    self.leaves.add(node)
-                    del self.children[node]
-        return self
-
-    def copy(self) -> "IndexTree":
-        dup = IndexTree(self.grid)
-        dup.children = {k: set(v) for k, v in self.children.items()}
-        dup.leaves = set(self.leaves)
-        return dup
+    (a0, b0), (a1, b1) = outer
+    (ia0, ib0), (ia1, ib1) = inner
+    for i in itertools.chain(range(a0, ia0), range(ib0 + 1, b0 + 1)):
+        for j in range(a1, b1 + 1):
+            yield (i, j)
+    for i in range(max(a0, ia0), min(b0, ib0) + 1):
+        for j in itertools.chain(range(a1, ia1), range(ib1 + 1, b1 + 1)):
+            yield (i, j)
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,37 +164,7 @@ class CoverResult:
     """Disjoint tile cover of a region."""
 
     tiles: tuple[Tile, ...]
-    covered_area: float
-    region_area: float
     constraint_respected: bool
-
-    @property
-    def stretch(self) -> float:
-        return self.covered_area / self.region_area
-
-
-def _cover_result(grid: GridSpec, region: Region, tiles: Iterable[Tile], ok: bool) -> CoverResult:
-    tiles = tuple(sorted(tiles))
-    covered = sum(grid.tile_area(t[0]) for t in tiles)
-    return CoverResult(tiles, covered, region.area(), ok)
-
-
-def min_stretch_cover(region: Region) -> CoverResult:
-    """All finest-level tiles overlapping the region."""
-    grid = region.grid
-    return _cover_result(grid, region, region.tiles_overlapping(grid.finest), True)
-
-
-def mst_cover(region: Region) -> CoverResult:
-    return _cover_result(region.grid, region, region.mst_leaves(), True)
-
-
-def tile_stretch(region: Region, tile: Tile) -> float:
-    """Ratio of the tile area to its intersection with the region (>= 1)."""
-    inter = region.intersection_area(tile)
-    if inter <= 0:
-        raise ValueError(f"tile {tile} does not intersect the region")
-    return region.grid.tile_area(tile[0]) / inter
 
 
 class _GreedyState:
@@ -337,7 +175,7 @@ class _GreedyState:
     count and the candidate scan avoid full passes over the leaf set.
     """
 
-    def __init__(self, region: Region):
+    def __init__(self, region: BoxRegion):
         self.region = region
         self.grid = region.grid
         self.leaves: set[Tile] = set()
@@ -385,7 +223,7 @@ class _GreedyState:
         return True
 
 
-def constrained_cover(region: Region, k: int) -> CoverResult:
+def constrained_cover(region: BoxRegion, k: int) -> CoverResult:
     """Greedy constrained tessellation.
 
     Starts from the reduced tree and, while over budget, inserts the
@@ -398,8 +236,9 @@ def constrained_cover(region: Region, k: int) -> CoverResult:
     if k < 1:
         raise ValueError("k must be >= 1")
     grid = region.grid
-    if region.count_overlapping(0) > k:
-        return _cover_result(grid, region, region.tiles_overlapping(0), False)
+    level0 = region.tiles_overlapping(0)
+    if len(level0) > k:
+        return CoverResult(tuple(sorted(level0)), False)
 
     state = _GreedyState(region)
     for leaf in region.mst_leaves():
@@ -414,50 +253,4 @@ def constrained_cover(region: Region, k: int) -> CoverResult:
                 break
         if not aggregated:  # all leaves already level-0; guarded by the fallback
             break
-    return _cover_result(grid, region, state.leaves, len(state.leaves) <= k)
-
-
-def brute_force_cover(region: Region, k: int, cell_bound: int = 64) -> CoverResult:
-    """Exhaustive minimum-stretch disjoint cover with at most k tiles.
-
-    Independent of the greedy path: branches over which ancestor covers the
-    first uncovered cell. Rejects instances with more than `cell_bound`
-    finest cells.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    grid = region.grid
-    cells = sorted(region.tiles_overlapping(grid.finest))
-    if len(cells) > cell_bound:
-        raise InstanceTooLarge(f"{len(cells)} cells exceeds the bound {cell_bound}")
-
-    best: dict[str, object] = {"area": math.inf, "tiles": None}
-
-    def first_uncovered(chosen: list[Tile]) -> Tile | None:
-        for c in cells:
-            if not any(grid.covers(t, c) for t in chosen):
-                return c
-        return None
-
-    def search(chosen: list[Tile], area: float) -> None:
-        if area >= best["area"]:
-            return
-        cell = first_uncovered(chosen)
-        if cell is None:
-            best["area"] = area
-            best["tiles"] = tuple(chosen)
-            return
-        if len(chosen) >= k:
-            return
-        for level in range(grid.levels):
-            cand = grid.ancestor(cell, level)
-            if any(grid.covers(cand, t) for t in chosen):
-                continue  # would swallow an already chosen tile
-            chosen.append(cand)
-            search(chosen, area + grid.tile_area(level))
-            chosen.pop()
-
-    search([], 0.0)
-    if best["tiles"] is None:
-        raise InstanceTooLarge(f"no cover with at most {k} tiles exists")
-    return _cover_result(grid, region, best["tiles"], True)
+    return CoverResult(tuple(sorted(state.leaves)), len(state.leaves) <= k)

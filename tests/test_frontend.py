@@ -617,7 +617,7 @@ def test_cold_frontend_fans_out_on_the_caller_thread(cluster, monkeypatch):
 
     monkeypatch.setattr(fe.consumer, "get", counting_get)
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    q = RangeQuery(BBox.of(12.0, 41.0, 12.35, 41.35), "Foo", "poi", k=40)
+    q = RangeQuery(BBox.of(12.005, 41.005, 12.345, 41.345), "Foo", "poi", k=40)
     stats = fe.range_query(q).stats
     monkeypatch.undo()
     assert stats.subqueries == 40

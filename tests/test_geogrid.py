@@ -14,11 +14,14 @@ from geoshard.geogrid import (
     parent,
     parse_feature,
     parse_tile_prefix,
-    tile_bbox,
     tile_of,
     tile_prefix,
+    tile_span,
+    tiles_overlapping_box,
 )
 from geoshard.icn.names import Name
+from geoshard.tessellate import constrained_tessellation
+from grid_reference import tile_bbox
 
 
 def test_tile_of_reference_point():
@@ -158,6 +161,52 @@ def test_intersecting_tiles_multipoint_two_tiles():
 def test_intersecting_tiles_other_uses_bbox():
     g = Geometry.other(BBox.of(12.505, 41.895, 12.515, 41.905))
     assert len(intersecting_tiles(g, 2)) == 4
+
+
+def test_tile_span_is_closed_over_half_open_tiles():
+    assert tile_span(12.05, 12.25, 10) == (120, 122)
+    # an upper edge on a grid line meets the tile beyond it, where a point on
+    # the edge is stored
+    assert tile_span(12.0, 12.3, 10) == (120, 123)
+    assert tile_span(12.0, 12.3, 10)[1] == tile_of(GeoCoord(12.3, 41.0), 1).lng_idx
+    # within GRID_EPS of a line counts as on it, as for tile_of
+    assert tile_span(12.0, 12.3 - 1e-12, 10) == (120, 123)
+    assert tile_span(11.999999999999998, 12.0, 100) == (1200, 1200)
+    # a lower edge on a line starts at the tile it owns
+    assert tile_span(12.1, 12.15, 10) == (121, 121)
+
+
+def test_tile_span_is_clamped_at_the_grid_edge():
+    assert tile_span(179.5, 180.0, 10, 180.0) == (1795, 1799)
+    assert tile_span(179.99999999999, 180.0, 100, 180.0) == (17999, 17999)
+    assert tile_span(89.9, 90.0, 1, 90.0) == (89, 89)
+
+
+def test_box_reaching_lng_180_and_lat_90_covers():
+    box = BBox.of(179.9, 89.9, 180.0, 90.0)
+    for level in (0, 1, 2):
+        tiles = tiles_overlapping_box(box, level)
+        assert max(tiles).lng_idx == 180 * 10**level - 1
+        assert max(t.lat_idx for t in tiles) == 90 * 10**level - 1
+    for k in (1, 5, 50):
+        t = constrained_tessellation(box, k)
+        assert t.tiles and t.constraint_respected
+
+
+def test_box_geometry_below_a_line_by_rounding_has_tiles_at_every_level():
+    # its south edge snaps onto 12.0, which is also its north edge
+    g = Geometry.other(BBox.of(12.0, 11.999999999999998, 12.01, 12.0))
+    assert intersecting_tiles(g, 2) == {TileId(2, 1200, 1200), TileId(2, 1201, 1200)}
+    assert intersecting_tiles(g, 0) == {TileId(0, 12, 12)}
+
+
+def test_intersecting_tiles_other_meets_the_tiles_beyond_its_edges():
+    g = Geometry.other(BBox.of(12.5, 41.8, 12.6, 41.9))
+    assert intersecting_tiles(g, 1) == {
+        TileId.at(1, 12.5, 41.8), TileId.at(1, 12.6, 41.8),
+        TileId.at(1, 12.5, 41.9), TileId.at(1, 12.6, 41.9),
+    }
+    assert len(intersecting_tiles(g, 2)) == 11 * 11
 
 
 def test_bbox_rejects_reversed_and_antimeridian():

@@ -1,33 +1,53 @@
-import math
 import random
 
 import pytest
 
-from geoshard.geogrid import BBox, TileId, tile_bbox
+from geoshard.geogrid import BBox, TileId, tiles_overlapping_box
 from geoshard.tessellate import (
     GEO_GRID,
-    CellSetRegion,
-    GridSpec,
-    InstanceTooLarge,
+    PERIOD_GRID,
     PeriodSet,
-    build_index_tree,
-    brute_force_optimal,
     constrained_tessellation,
-    min_stretch,
-    min_stretch_and_tiles,
-    mst_reduce,
-    stretch,
     temporal_decompose,
-    tile_stretch,
 )
-from geoshard.tessellate.core import (
-    BoxRegion,
+from geoshard.tessellate.core import BoxRegion, GridSpec, constrained_cover
+from grid_reference import (
+    CellSetRegion,
+    IndexTree,
+    InstanceTooLarge,
     brute_force_cover,
-    constrained_cover,
-    min_stretch_cover,
+    intersects_box,
     mst_cover,
+    stretch,
+    tile_area,
+    tile_bbox,
 )
-from geoshard.tessellate.core import tile_stretch as core_tile_stretch
+from grid_reference import tile_stretch as core_tile_stretch
+
+
+def _region(q: BBox) -> BoxRegion:
+    return BoxRegion(GEO_GRID, (q.min.lng, q.min.lat), (q.max.lng, q.max.lat))
+
+
+def _geo(tiles) -> tuple[TileId, ...]:
+    return tuple(TileId(level, i, j) for level, (i, j) in tiles)
+
+
+def min_stretch(q: BBox) -> tuple[TileId, ...]:
+    """All level-2 tiles meeting the box."""
+    return tuple(sorted(tiles_overlapping_box(q, 2)))
+
+
+def build_index_tree(tiles) -> IndexTree:
+    return IndexTree.from_leaves(GEO_GRID, ((t.level, (t.lng_idx, t.lat_idx)) for t in tiles))
+
+
+def geo_stretch(q: BBox, tiles) -> float:
+    return stretch(_region(q), ((t.level, (t.lng_idx, t.lat_idx)) for t in tiles))
+
+
+def tile_stretch(tile: TileId, q: BBox) -> float:
+    return core_tile_stretch(_region(q), (tile.level, (tile.lng_idx, tile.lat_idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -35,24 +55,30 @@ from geoshard.tessellate.core import tile_stretch as core_tile_stretch
 
 
 def test_min_stretch_50km_square():
-    # 0.5 x 0.5 degrees, grid aligned: exactly 2500 smallest tiles
-    t = min_stretch(BBox.of(12.0, 41.0, 12.5, 41.5))
-    assert len(t.tiles) == 2500
-    assert all(tile.level == 2 for tile in t.tiles)
-    assert t.stretch == pytest.approx(1.0)
+    # 0.5 x 0.5 degrees, grid aligned: the closed box also meets the tiles
+    # beyond its east and north edges, 51 x 51 smallest tiles
+    tiles = min_stretch(BBox.of(12.0, 41.0, 12.5, 41.5))
+    assert len(tiles) == 2601
+    assert all(tile.level == 2 for tile in tiles)
+    assert TileId.at(2, 12.5, 41.5) in tiles
 
 
 def test_min_stretch_single_tile():
     q = tile_bbox(TileId.at(2, 12.51, 41.89))
-    t = min_stretch(q)
-    assert t.tiles == (TileId.at(2, 12.51, 41.89),)
-    assert t.stretch == pytest.approx(1.0)
+    assert min_stretch(q) == (
+        TileId.at(2, 12.51, 41.89),
+        TileId.at(2, 12.51, 41.9),
+        TileId.at(2, 12.52, 41.89),
+        TileId.at(2, 12.52, 41.9),
+    )
+    assert geo_stretch(q, min_stretch(q)) == pytest.approx(4.0)
 
 
 def test_min_stretch_offset_quad():
-    t = min_stretch(BBox.of(12.505, 41.895, 12.515, 41.905))
-    assert len(t.tiles) == 4
-    assert t.stretch == pytest.approx(4.0)
+    q = BBox.of(12.505, 41.895, 12.515, 41.905)
+    tiles = min_stretch(q)
+    assert len(tiles) == 4
+    assert geo_stretch(q, tiles) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +88,7 @@ def test_min_stretch_offset_quad():
 def test_mst_reduce_full_complement():
     tiles = [TileId(2, 125 * 10 + a, 418 * 10 + b) for a in range(10) for b in range(10)]
     tree = build_index_tree(tiles)
-    reduced = mst_reduce(tree)
+    reduced = tree.copy().reduce()
     assert reduced.leaf_tiles() == [(1, (125, 418))]
     # original tree untouched
     assert len(tree.leaves) == 100
@@ -70,14 +96,17 @@ def test_mst_reduce_full_complement():
 
 def test_mst_reduce_99_children_unchanged():
     tiles = [TileId(2, 1250 + a, 4180 + b) for a in range(10) for b in range(10)][:-1]
-    reduced = mst_reduce(build_index_tree(tiles))
+    reduced = build_index_tree(tiles).reduce()
     assert len(reduced.leaf_tiles()) == 99
 
 
 def test_mst_reduce_recursive_aligned_degree():
-    t = min_stretch_and_tiles(BBox.of(12.0, 41.0, 13.0, 42.0))
-    assert t.tiles == (TileId.at(0, 12, 41),)
-    assert t.stretch == pytest.approx(1.0)
+    # the degree collapses to its level-0 tile; the level-2 tiles beyond its
+    # east and north edges, which the closed box meets, stay as they are
+    leaves = _geo(_region(BBox.of(12.0, 41.0, 13.0, 42.0)).mst_leaves())
+    assert [t for t in leaves if t.level < 2] == [TileId.at(0, 12, 41)]
+    assert len(leaves) == 1 + 2 * 101 - 1
+    assert all(t.lng_idx == 1300 or t.lat_idx == 4200 for t in leaves[1:])
 
 
 def test_mst_leaves_match_tree_reduction_on_random_boxes():
@@ -86,10 +115,10 @@ def test_mst_leaves_match_tree_reduction_on_random_boxes():
         lo_x = rng.uniform(-5, 5)
         lo_y = rng.uniform(40, 45)
         q = BBox.of(lo_x, lo_y, lo_x + rng.uniform(0.01, 0.3), lo_y + rng.uniform(0.01, 0.3))
-        fast = set(min_stretch_and_tiles(q).tiles)
-        slow = mst_reduce(build_index_tree(min_stretch(q).tiles)).leaf_tiles()
-        assert fast == {TileId(level, i, j) for level, (i, j) in slow}
-        assert min_stretch_and_tiles(q).stretch == pytest.approx(min_stretch(q).stretch)
+        fast = set(_geo(_region(q).mst_leaves()))
+        slow = build_index_tree(min_stretch(q)).reduce().leaf_tiles()
+        assert fast == set(_geo(slow))
+        assert geo_stretch(q, fast) == pytest.approx(geo_stretch(q, min_stretch(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +173,7 @@ def test_worked_instance_constrained_k6():
     assert result.constraint_respected
     assert len(result.tiles) == 6
     assert (0, (0, 0)) in result.tiles
-    assert result.stretch == pytest.approx(27 / 20)
+    assert stretch(region, result.tiles) == pytest.approx(27 / 20)
 
 
 def test_worked_instance_is_deterministic():
@@ -159,11 +188,15 @@ def test_worked_instance_is_deterministic():
 
 
 def test_constrained_single_tile_k1():
+    # the closed tile box meets four level-2 tiles across the level-1 line
+    # at 41.9, so one tile covering it is their level-0 ancestor
     q = tile_bbox(TileId.at(2, 12.51, 41.89))
     t = constrained_tessellation(q, 1)
-    assert t.tiles == (TileId.at(2, 12.51, 41.89),)
+    assert t.tiles == (TileId.at(0, 12, 41),)
     assert t.constraint_respected
-    assert t.stretch == pytest.approx(1.0)
+    t4 = constrained_tessellation(q, 4)
+    assert t4.tiles == min_stretch(q)
+    assert t4.constraint_respected
 
 
 def test_constrained_fallback_level0_cover():
@@ -183,7 +216,7 @@ def _check_cover(t, q):
         box_a = tile_bbox(a)
         area += (box_a.max.lng - box_a.min.lng) * (box_a.max.lat - box_a.min.lat)
         for b in t.tiles[i + 1:]:
-            assert not box_a.intersects_box(tile_bbox(b)), (a, b)
+            assert not intersects_box(box_a, tile_bbox(b)), (a, b)
     # coverage by point sampling plus corner checks
     rng = random.Random(1)
     pts = [(q.min.lng + 1e-9, q.min.lat + 1e-9), (q.max.lng - 1e-9, q.max.lat - 1e-9)]
@@ -210,9 +243,8 @@ def test_constrained_random_boxes_properties():
         base = min_stretch(q)
         if t.constraint_respected:
             assert len(t.tiles) <= k
-        assert len(t.tiles) <= len(base.tiles)
-        assert t.stretch >= 1.0 - 1e-9
-        assert stretch(t) == pytest.approx(t.stretch)
+        assert len(t.tiles) <= len(base)
+        assert geo_stretch(q, t.tiles) >= 1.0 - 1e-9
         _check_cover(t, q)
         # no tile is an ancestor or descendant of another
         levels = {}
@@ -238,43 +270,49 @@ def test_constrained_never_beats_bruteforce_and_mostly_matches():
         if not greedy.constraint_respected:
             continue
         try:
-            opt = brute_force_optimal(q, k, cell_bound=64)
+            opt = brute_force_cover(_region(q), k, cell_bound=64)
         except InstanceTooLarge:
             continue
         total += 1
-        assert greedy.stretch >= opt.stretch - 1e-9
-        if abs(greedy.stretch - opt.stretch) < 1e-9:
+        greedy_stretch = geo_stretch(q, greedy.tiles)
+        assert greedy_stretch >= opt.stretch - 1e-9
+        if abs(greedy_stretch - opt.stretch) < 1e-9:
             matches += 1
     assert total > 60
     assert matches / total >= 0.9
 
 
 def test_bruteforce_examples():
+    # a tile box meets four level-2 tiles; across the level-1 line at 41.9
     q = tile_bbox(TileId.at(2, 12.51, 41.89))
-    t = brute_force_optimal(q, 3)
-    assert t.tiles == (TileId.at(2, 12.51, 41.89),)
+    t = brute_force_cover(_region(q), 4)
+    assert _geo(t.tiles) == min_stretch(q)
+    assert _geo(brute_force_cover(_region(q), 1).tiles) == (TileId.at(0, 12, 41),)
 
     # 2x2 level-2 block inside one level-1 tile, k=1: the level-1 parent wins
     q2 = BBox.of(12.52, 41.82, 12.54, 41.84)
-    t2 = brute_force_optimal(q2, 1)
-    assert t2.tiles == (TileId.at(1, 12.5, 41.8),)
+    t2 = brute_force_cover(_region(q2), 1)
+    assert _geo(t2.tiles) == (TileId.at(1, 12.5, 41.8),)
     assert t2.stretch == pytest.approx(100 / 4)
 
-    # aligned level-1 box with a large budget: exact cover exists
+    # aligned level-1 box with a large budget: the tile itself, plus the 21
+    # level-2 tiles beyond its east and north edges
     q3 = tile_bbox(TileId.at(1, 12.5, 41.8))
-    t3 = brute_force_optimal(q3, 100, cell_bound=128)
-    assert t3.stretch == pytest.approx(1.0)
+    t3 = brute_force_cover(_region(q3), 100, cell_bound=128)
+    assert TileId.at(1, 12.5, 41.8) in _geo(t3.tiles)
+    assert len(t3.tiles) == 22
+    assert t3.stretch == pytest.approx(1.21)
 
 
 def test_bruteforce_instance_guard():
     with pytest.raises(InstanceTooLarge):
-        brute_force_optimal(BBox.of(12, 41, 12.2, 41.2), 10, cell_bound=64)
+        brute_force_cover(_region(BBox.of(12, 41, 12.2, 41.2)), 10, cell_bound=64)
 
 
 def test_constrained_k_larger_than_mst_returns_mst():
     q = BBox.of(12.0, 41.0, 12.5, 41.5)
     t = constrained_tessellation(q, 10_000)
-    assert set(t.tiles) == set(min_stretch_and_tiles(q).tiles)
+    assert set(t.tiles) == set(_geo(_region(q).mst_leaves()))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +341,7 @@ def test_temporal_fallback_70000_minutes():
 
 
 def _check_period_cover(ps: PeriodSet):
-    segs = sorted(ps.period_seconds())
+    segs = sorted((start * 60, (start + size) * 60) for start, size in ps.periods)
     for (s0, e0), (s1, e1) in zip(segs, segs[1:]):
         assert e0 <= s1  # disjoint
     start, end = ps.query_interval
@@ -331,15 +369,14 @@ def test_temporal_random_intervals_against_bruteforce():
         if ps.constraint_respected:
             assert len(ps.periods) <= 5
             # oracle: exhaustive cover over the same 1-D hierarchy
-            from geoshard.tessellate import PERIOD_GRID
-
-            region = BoxRegion(PERIOD_GRID, (start / 60.0,), ((start + length) / 60.0,))
+            end = start + length
+            region = BoxRegion(PERIOD_GRID, (start / 60.0,), (end / 60.0,), ((end - 1) / 60.0,))
             try:
                 opt = brute_force_cover(region, 5, cell_bound=64)
             except InstanceTooLarge:
                 continue
             greedy_len = sum(size for _, size in ps.periods)
-            opt_len = sum(PERIOD_GRID.tile_area(t[0]) for t in opt.tiles)
+            opt_len = sum(tile_area(PERIOD_GRID, t[0]) for t in opt.tiles)
             assert greedy_len >= opt_len - 1e-9
 
 
