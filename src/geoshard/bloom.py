@@ -25,10 +25,6 @@ def bf_params(capacity: int, fp_rate: float) -> tuple[int, int]:
     return m, h
 
 
-def analytic_fp_rate(m: int, h: int, n: int) -> float:
-    return (1.0 - math.exp(-h * n / m)) ** h
-
-
 def bucket_indices(key: str, m: int, h: int) -> list[int]:
     digest = sha256(key.encode()).digest()
     h1 = struct.unpack_from("!Q", digest, 0)[0]

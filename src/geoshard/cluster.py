@@ -1,10 +1,11 @@
 """Cluster assembly: wire engines, filter server, cert repo and front-ends.
 
 The default deployment is fully in-process (deterministic, desk scale): one
-router forwarder, one forwarder per engine (where the engine-side content
-store lives), endpoint faces for producers and consumers. Optional TCP
-listeners expose the bulk-insert stream, the front-end JSON service, and a
-packet-level face server for external consumers.
+router forwarder, one forwarder per engine, endpoint faces for producers
+and consumers. No forwarder caches content; every read reaches the engine
+that owns it. Optional TCP listeners expose the bulk-insert stream, the
+front-end JSON service, and a packet-level face server for external
+consumers.
 
 Configuration is an INI file (key-value, human readable); its schema is in
 the docstring of :func:`parse_cluster_config`.
@@ -73,8 +74,6 @@ class ClusterSpec:
     bf_enabled: bool = True
     bf_capacity: int = 10_000
     bf_fp_rate: float = 0.01
-    qdata_freshness_ms: int = 0
-    engine_cs_capacity: int = 0
     bulk_tcp: bool = False
     fe_lifetime_ms: int = 2000
     fe_retries: int = 2
@@ -194,12 +193,11 @@ class Cluster:
 
     def _build_engine(self, node: str, tiles: list[TileId], validator: Validator) -> EngineNode:
         spec = self.spec
-        fwd = self.fabric.forwarder(f"fwd-{node}", cs_capacity=spec.engine_cs_capacity)
+        fwd = self.fabric.forwarder(f"fwd-{node}")
         router_fid, engine_fid = self.fabric.link(self.router, fwd)
         cfg = EngineConfig(
             node_id=node,
             tiles=tuple(tiles),
-            qdata_freshness_ms=spec.qdata_freshness_ms,
             bf_params=self._mh if spec.bf_enabled else None,
         )
         engine = DatabaseEngine(cfg, self.engine_ids[node], validator, clock=self.clock)
@@ -306,16 +304,24 @@ def _parse_tile(token: str) -> TileId:
     return TileId.at(0, int(lng), int(lat))
 
 
+# the keys a [cluster] section may set
+_CLUSTER_KEYS = frozenset({
+    "scheme", "bf_enabled", "bf_capacity", "bf_fp_rate", "bulk_tcp", "face_port",
+    "service_port", "frontends",
+})
+
+
 def parse_cluster_config(path: str) -> ClusterSpec:
     """INI schema:
 
     [cluster]         scheme=ed25519|hmac, bf_enabled, bf_capacity, bf_fp_rate,
-                      qdata_freshness_ms, engine_cs_capacity,
                       bulk_tcp, face_port, service_port, frontends=fe1,fe2
     [engine.<id>]     tiles=12/41, 13/41
     [tenant.<tid>]    collections=poi,bus
     [user.<uid>]      tid=..., cid=..., permission=rw|r
     [routes]          /OGB/12/41 = <engine-id>     (static overrides)
+
+    A [cluster] key outside this schema raises ValueError naming it.
     """
     cp = configparser.ConfigParser(delimiters=("=",))
     cp.optionxform = str  # route prefixes are case sensitive
@@ -323,6 +329,9 @@ def parse_cluster_config(path: str) -> ClusterSpec:
     if not read:
         raise FileNotFoundError(path)
     cl = cp["cluster"] if "cluster" in cp else {}
+    unknown = sorted(set(cl) - _CLUSTER_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown [cluster] keys: {', '.join(unknown)}")
     engines: dict[str, list[TileId]] = {}
     tenants: dict[str, list[str]] = {}
     users: list[UserSpec] = []
@@ -363,8 +372,6 @@ def parse_cluster_config(path: str) -> ClusterSpec:
         bf_enabled=str(cl.get("bf_enabled", "true")).lower() in ("1", "true", "yes"),
         bf_capacity=int(cl.get("bf_capacity", 10_000)),
         bf_fp_rate=float(cl.get("bf_fp_rate", 0.01)),
-        qdata_freshness_ms=int(cl.get("qdata_freshness_ms", 0)),
-        engine_cs_capacity=int(cl.get("engine_cs_capacity", 0)),
         bulk_tcp=str(cl.get("bulk_tcp", "false")).lower() in ("1", "true", "yes"),
         face_port=int(face_port) if face_port else None,
         service_port=int(service_port) if service_port else None,

@@ -1,23 +1,22 @@
 """Back-end database engine.
 
-Stores object rows grouped by (tile prefix, tenant, collection), each as
-the framed wire bytes of its owner-signed packet, and answers batch
+Stores object rows grouped by (tile, tenant, collection), each as the
+framed wire bytes of its owner-signed packet, and answers batch
 Interests, one per front-end request and owned level-0 tile. A tile batch
 lists (tile, period) queries of one data set and carries the range
 query's predicate (box, mode, interval); it is answered with one signed
 container of the rows of those queries that can match the predicate, one
 per object identity, the master when the engine holds one that passes.
-Every query's rows are served from an invalidating application-layer
-cache when possible. An object batch fetches masters into one signed
-container; a delete batch removes the rows of one object under the
-engine's tiles and is answered with one signed container of one status
-per row. A reply joins the stored bytes of its rows; nothing is encoded
-again. A batch is authorized with one access decision. The engine also
-resolves its own bulk-insert address, applies the access-control table to
-every operation, and keeps a counting Bloom filter over (tile-prefix,
-tenant, collection) groups whose 0->1 / 1->0 bucket transitions are
-published to the filter server; a publish that fails is logged and
-counted.
+Every reply is built from the index; nothing on the read path is cached.
+An object batch fetches masters into one signed container; a delete batch
+removes the rows of one object under the engine's tiles and is answered
+with one signed container of one status per row. A reply joins the
+stored bytes of its rows; nothing is encoded again. A batch is authorized
+with one access decision. The engine also resolves its own bulk-insert
+address, applies the access-control table to every operation, and keeps a
+counting Bloom filter over (tile-prefix, tenant, collection) groups whose
+0->1 / 1->0 bucket transitions are published to the filter server; a
+publish that fails is logged and counted.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from geoshard.icn.packets import (
     InterestPacket,
     decode_packet,
     encode_packet,
-    encode_packet_stream,
+    encode_packet_stream,  # called through this module: the bench's tracer wraps it here
 )
 from geoshard.icn.producer import Producer, ProducerReply
 from geoshard.naming import (
@@ -48,7 +47,6 @@ from geoshard.naming import (
     IP_RES_MARK,
     NameSchemeError,
     TILE_MARK,
-    TileQueryInfo,
     batch_mark,
     parse_object_batch,
     parse_object_name,
@@ -80,15 +78,11 @@ DELETE_OK = b"OK"
 DELETE_NOT_FOUND = b"NOT-FOUND"
 DELETE_DENIED = b"DENIED"
 
-# tile queries whose rows an engine caches; past this the oldest is evicted
-QDATA_CAPACITY = 512
-
 
 @dataclass
 class EngineConfig:
     node_id: str
     tiles: tuple[TileId, ...]  # owned level-0 tiles
-    qdata_freshness_ms: int = 0  # query responses are non-cacheable by default
     ipres_freshness_ms: int = 60_000
     bulk_endpoint: str = ""  # "host:port" or "inproc:<node>"; filled on start
     bf_params: tuple[int, int] | None = None  # (m, h), shared cluster-wide
@@ -103,7 +97,8 @@ class EngineConfig:
 class EngineStats:
     tile_queries: int = 0
     index_lookups: int = 0
-    qdata_hits: int = 0
+    # no cache is left to invalidate, so this stays 0; the bench's counter
+    # reader (bench/geobench/runner.py) still reads it
     qdata_invalidations: int = 0
     denied_queries: int = 0
     denied_inserts: int = 0
@@ -136,10 +131,8 @@ class DatabaseEngine:
         self._sign = data_signer(identity)
         self._state = threading.RLock()
         self.objects: dict[Name, StoredObject] = {}
-        self._groups: dict[tuple[Name, str, str], set[Name]] = {}
-        # query -> (prefix, its rows in name order)
-        self._qdata: dict[Name, tuple[Name, tuple[StoredObject, ...]]] = {}
-        self._qdata_by_prefix: dict[Name, set[Name]] = {}
+        # (tile, tenant, collection) -> its rows, in insertion order
+        self._groups: dict[tuple[TileId, str, str], dict[Name, StoredObject]] = {}
         self._owned_prefixes = tuple(route_prefix(t) for t in config.tiles)
         self.cbf = (
             CountingBloomFilter(*config.bf_params) if config.bf_params is not None else None
@@ -249,10 +242,9 @@ class DatabaseEngine:
         the exact match (`StoredObject.can_match`), so no row the front-end
         would keep is left out. Of an identity's kept rows the first is
         sent, or its master when one of them is the master. Each query's
-        rows come from the cache when it holds them. The reply joins the
-        kept rows' stored bytes; it is rebuilt for each segment Interest
-        and signed on read, outside the state lock, so only the segment
-        sent is signed.
+        rows are one index lookup. The reply joins the kept rows' stored
+        bytes; it is rebuilt for each segment Interest and signed on read,
+        outside the state lock, so only the segment sent is signed.
         """
         self.stats.tile_queries += 1
         batch = self._open_batch(base, interest, TILE_MARK, parse_tile_query_name)
@@ -262,8 +254,8 @@ class DatabaseEngine:
         kept: dict[tuple[str, str, str, str], StoredObject] = {}
         filtered = 0
         with self._state:
-            for qname, query in listed:
-                for row in self._rows(qname, query):
+            for _, query in listed:
+                for row in self._select(query.tile, query.tid, query.cid, query.period):
                     held = kept.get(row.key)
                     if held is not None and (row.is_reference or not held.is_reference):
                         continue
@@ -275,44 +267,20 @@ class DatabaseEngine:
             self.stats.rows_sent += len(kept)
             self.stats.rows_filtered += filtered
         return ProducerReply(
-            payload,
-            freshness_ms=self.config.qdata_freshness_ms,
-            sign=self._sign,
-            max_payload=self.config.max_payload,
+            payload, sign=self._sign, max_payload=self.config.max_payload
         ).segments(base)
-
-    def _rows(self, qname: Name, query: TileQueryInfo) -> tuple[StoredObject, ...]:
-        """The rows answering one tile query, in name order; called under `_state`."""
-        cached = self._qdata.get(qname)
-        if cached is not None:
-            self.stats.qdata_hits += 1
-            return cached[1]
-        rows = tuple(self._select(query.tile, query.tid, query.cid, query.period))
-        self._cache_rows(qname, route_prefix(query.tile), rows)
-        return rows
-
-    def _cache_rows(self, qname: Name, prefix: Name, rows: tuple[StoredObject, ...]) -> None:
-        if len(self._qdata) >= QDATA_CAPACITY:
-            oldest = next(iter(self._qdata))
-            old_prefix = self._qdata.pop(oldest)[0]
-            peers = self._qdata_by_prefix[old_prefix]
-            peers.discard(oldest)
-            if not peers:
-                del self._qdata_by_prefix[old_prefix]
-        self._qdata[qname] = (prefix, rows)
-        self._qdata_by_prefix.setdefault(prefix, set()).add(qname)
 
     def _select(
         self, tile: TileId, tid: str, cid: str, period: tuple[int, int] | None
-    ) -> list[StoredObject]:
+    ) -> Iterable[StoredObject]:
+        """The rows of one tile query, in insertion order; called under `_state`."""
         self.stats.index_lookups += 1
-        names = self._groups.get((route_prefix(tile), tid, cid), set())
-        rows = [self.objects[n] for n in sorted(names)]
-        if period is not None:
-            start, size = period
-            seconds = start * 60, (start + size) * 60
-            rows = [r for r in rows if temporal_match(r.valid_time, seconds)]
-        return rows
+        rows = self._groups.get((tile, tid, cid), {}).values()
+        if period is None:
+            return rows
+        start, size = period
+        seconds = start * 60, (start + size) * 60
+        return [r for r in rows if temporal_match(r.valid_time, seconds)]
 
     # --- address resolution ---------------------------------------------------
 
@@ -345,10 +313,7 @@ class DatabaseEngine:
             rows = [self.objects[n].wire for n, _ in batch[1] if n in self.objects]
             self.stats.object_fetches += len(rows)
         return ProducerReply(
-            b"".join(rows),
-            freshness_ms=self.config.qdata_freshness_ms,
-            sign=self._sign,
-            max_payload=self.config.max_payload,
+            b"".join(rows), sign=self._sign, max_payload=self.config.max_payload
         ).segments(base)
 
     # --- writes -----------------------------------------------------------------
@@ -379,13 +344,10 @@ class DatabaseEngine:
         if row.name in self.objects:
             return STATUS_DUPLICATE
         self.objects[row.name] = row
-        prefix = route_prefix(row.tile)
-        group_key = (prefix, row.tid, row.cid)
-        group = self._groups.setdefault(group_key, set())
-        group.add(row.name)
+        group = self._groups.setdefault((row.tile, row.tid, row.cid), {})
+        group[row.name] = row
         if len(group) == 1 and self.cbf is not None:
-            ups.extend(self.cbf.add(bf_key(str(prefix), row.tid, row.cid)))
-        self._invalidate(prefix)
+            ups.extend(self.cbf.add(_bf_key(row)))
         self.stats.inserts += 1
         return STATUS_OK
 
@@ -433,24 +395,15 @@ class DatabaseEngine:
         row = self.objects.pop(oname, None)
         if row is None:
             return DELETE_NOT_FOUND
-        prefix = route_prefix(row.tile)
-        group_key = (prefix, row.tid, row.cid)
+        group_key = (row.tile, row.tid, row.cid)
         group = self._groups[group_key]
-        group.discard(oname)
+        del group[oname]
         if not group:
             del self._groups[group_key]
             if self.cbf is not None:
-                downs.extend(self.cbf.remove(bf_key(str(prefix), row.tid, row.cid)))
-        self._invalidate(prefix)
+                downs.extend(self.cbf.remove(_bf_key(row)))
         self.stats.deletes += 1
         return DELETE_OK
-
-    def _invalidate(self, prefix: Name) -> None:
-        stale = self._qdata_by_prefix.pop(prefix, None)
-        if stale:
-            for qname in stale:
-                del self._qdata[qname]
-            self.stats.qdata_invalidations += len(stale)
 
     def _publish(self, direction: int, buckets: list[int]) -> None:
         # outside the state lock: publishing travels the fabric
@@ -466,7 +419,12 @@ class DatabaseEngine:
 
     def non_void_groups(self) -> set[tuple[str, str, str]]:
         with self._state:
-            return {(str(p), t, c) for (p, t, c), names in self._groups.items() if names}
+            return {(str(route_prefix(tile)), t, c) for tile, t, c in self._groups}
+
+
+def _bf_key(row: StoredObject) -> str:
+    """The Bloom key of the row's group, built on its first insert and last delete."""
+    return bf_key(str(route_prefix(row.tile)), row.tid, row.cid)
 
 
 # --- bulk-insert TCP endpoint ---------------------------------------------------

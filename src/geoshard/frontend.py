@@ -75,11 +75,10 @@ from __future__ import annotations
 
 import json
 import logging
-import socket
 import socketserver
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from geoshard.bloomsvc import SERVER_UID
 from geoshard.engine import DELETE_DENIED, DELETE_NOT_FOUND, DELETE_OK
@@ -224,7 +223,7 @@ class Frontend:
         user: Identity,
         validator: Validator,
         *,
-        bulk_connect: Callable[[str], "BulkTransport"],
+        bulk_connect: Callable[[str], Any],  # endpoint -> has insert(packets) -> statuses
         bf_client=None,
         clock: Callable[[], float] = system_clock,
         lifetime_ms: int = 2000,
@@ -241,7 +240,7 @@ class Frontend:
         self._sign_interest = interest_signer(user)
         self._sign_data = data_signer(user)
         self._ipres_cache: dict[Name, tuple[str, float]] = {}
-        self._transports: dict[str, BulkTransport] = {}
+        self._transports: dict[str, Any] = {}
         self._lock = threading.Lock()
         self.verified = VerifiedMemo()
         self.masters = LruStore(MASTER_STORE_SIZE)
@@ -498,7 +497,7 @@ class Frontend:
             self._ipres_cache[key] = (endpoint, now + pkt.freshness_ms / 1000.0)
         return endpoint
 
-    def _transport(self, endpoint: str) -> "BulkTransport":
+    def _transport(self, endpoint: str):
         with self._lock:
             t = self._transports.get(endpoint)
             if t is None:
@@ -615,13 +614,6 @@ def _parse_geometry(geom: dict) -> Geometry:
     return parse_feature(wrapper).geometry
 
 
-class BulkTransport:
-    """Anything with insert(list[DataPacket]) -> list[int]."""
-
-    def insert(self, packets) -> list[int]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 # --- request/response service endpoint ----------------------------------------
 
 
@@ -688,27 +680,3 @@ class FrontendService:
     def close(self) -> None:
         self._server.shutdown()
         self._server.server_close()
-
-
-class ServiceClient:
-    """Driver-side client for the JSON service."""
-
-    def __init__(self, host: str, port: int):
-        self._sock = socket.create_connection((host, port), timeout=60)
-        self._file = self._sock.makefile("rwb")
-        self._lock = threading.Lock()
-
-    def call(self, request: dict) -> dict:
-        with self._lock:
-            self._file.write(json.dumps(request).encode() + b"\n")
-            self._file.flush()
-            line = self._file.readline()
-        if not line:
-            raise ConnectionError("service closed the connection")
-        return json.loads(line)
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass

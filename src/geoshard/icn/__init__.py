@@ -1,17 +1,17 @@
 """Minimal information-centric networking layer.
 
 Hierarchical names, Interest/Data packets with a length-prefixed binary TLV
-encoding, forwarders (FIB longest-prefix match, PIT aggregation/multicast,
-freshness-bounded content store), in-process faces with optional loss
-hooks, TCP faces over u32 length-framed streams, and blocking
-consumer/producer endpoints with content segmentation. Routes are added
-with :meth:`Forwarder.advertise`.
+encoding, forwarders (FIB longest-prefix match, PIT aggregation/multicast;
+no content store), in-process faces with optional loss hooks, TCP faces
+over u32 length-framed streams, and blocking consumer/producer endpoints
+with content segmentation. Routes are added with
+:meth:`Forwarder.advertise`.
 """
 
-from geoshard.icn.clock import ManualClock, system_clock
+from geoshard.icn.clock import system_clock
 from geoshard.icn.consumer import Consumer, GetTimeoutError
 from geoshard.icn.fabric import Fabric
-from geoshard.icn.faces import Face, TcpFace, TcpFaceServer, face_pair, tcp_connect
+from geoshard.icn.faces import Face, TcpFace, TcpFaceServer, face_pair
 from geoshard.icn.forwarder import Forwarder, ForwarderStats, longest_prefix_match
 from geoshard.icn.names import Name
 from geoshard.icn.packets import (
@@ -36,7 +36,6 @@ __all__ = [
     "ForwarderStats",
     "GetTimeoutError",
     "InterestPacket",
-    "ManualClock",
     "Name",
     "Producer",
     "ProducerReply",
@@ -52,5 +51,4 @@ __all__ = [
     "segment_name",
     "split_segment_name",
     "system_clock",
-    "tcp_connect",
 ]

@@ -1,24 +1,9 @@
-"""Injectable time source so freshness and expiry tests are deterministic."""
+"""Injectable time source, so that tests can drive expiry with their own clock."""
 
 from __future__ import annotations
 
 import time
 
-Clock = "Callable[[], float]"
-
 
 def system_clock() -> float:
     return time.monotonic()
-
-
-class ManualClock:
-    """Clock advanced explicitly by tests; starts at zero."""
-
-    def __init__(self, start: float = 0.0):
-        self.now = float(start)
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds

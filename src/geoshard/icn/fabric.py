@@ -17,8 +17,8 @@ class Fabric:
         self.clock = clock
         self.forwarders: list[Forwarder] = []
 
-    def forwarder(self, label: str, cs_capacity: int = 0) -> Forwarder:
-        fwd = Forwarder(label, clock=self.clock, cs_capacity=cs_capacity)
+    def forwarder(self, label: str) -> Forwarder:
+        fwd = Forwarder(label, clock=self.clock)
         self.forwarders.append(fwd)
         return fwd
 

@@ -197,8 +197,3 @@ class TcpFaceServer:
             pass
         for face in self._faces:
             face.close()
-
-
-def tcp_connect(host: str, port: int, label: str = "tcp") -> TcpFace:
-    """A started TcpFace to a server; the client speaks first."""
-    return TcpFace(socket.create_connection((host, port), timeout=10), label=label).start()

@@ -1,4 +1,7 @@
-"""The forwarding engine: FIB longest-prefix match, PIT aggregation, content store.
+"""The forwarding engine: FIB longest-prefix match and PIT aggregation.
+
+A forwarder keeps no content store: every Interest that is not aggregated
+in the PIT goes upstream, so each reply comes from its producer.
 
 State mutation is serialized under one lock per forwarder; packet
 transmission happens outside the lock on the calling thread, so producers
@@ -9,7 +12,6 @@ through the same node.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,6 +36,8 @@ class ForwarderStats:
     data_in: int = 0
     upstream_interests: int = 0
     downstream_data: int = 0
+    # no content store is left to hit, so this stays 0; the bench's counter
+    # reader (bench/geobench/runner.py) still reads it
     cs_hits: int = 0
     pit_aggregated: int = 0
     no_route_drops: int = 0
@@ -51,18 +55,11 @@ class _PitEntry:
 class Forwarder:
     """A single forwarding node."""
 
-    def __init__(
-        self,
-        label: str = "fwd",
-        clock: Callable[[], float] = system_clock,
-        cs_capacity: int = 0,
-    ):
+    def __init__(self, label: str = "fwd", clock: Callable[[], float] = system_clock):
         self.label = label
         self.clock = clock
-        self.cs_capacity = cs_capacity
         self.fib: dict[Name, set[int]] = {}
         self.pit: dict[Name, _PitEntry] = {}
-        self.cs: OrderedDict[Name, tuple[DataPacket, float]] = OrderedDict()
         self.stats = ForwarderStats()
         self._lock = threading.RLock()
         self._faces: dict[int, Face] = {}
@@ -83,14 +80,6 @@ class Forwarder:
         """Add a route; registering the same (prefix, face) twice is a no-op."""
         with self._lock:
             self.fib.setdefault(prefix, set()).add(face_id)
-
-    def withdraw(self, prefix: Name, face_id: int) -> None:
-        with self._lock:
-            faces = self.fib.get(prefix)
-            if faces:
-                faces.discard(face_id)
-                if not faces:
-                    del self.fib[prefix]
 
     # --- packet handling -------------------------------------------------
 
@@ -113,17 +102,6 @@ class Forwarder:
         if len(self._dead_nonces) > 4096:
             self._dead_nonces = {k: v for k, v in self._dead_nonces.items() if v > now}
 
-    def _cs_fresh(self, name: Name, now: float) -> DataPacket | None:
-        got = self.cs.get(name)
-        if got is None:
-            return None
-        pkt, arrival = got
-        if now - arrival >= pkt.freshness_ms / 1000.0:
-            del self.cs[name]
-            return None
-        self.cs.move_to_end(name)
-        return pkt
-
     def _process_interest(self, face_id: int, pkt: InterestPacket) -> list[tuple[int, Packet]]:
         with self._lock:
             now = self.clock()
@@ -133,10 +111,6 @@ class Forwarder:
             if self._dead_nonces.get(key, 0.0) > now:
                 self.stats.duplicate_nonce_drops += 1
                 return []
-            cached = self._cs_fresh(pkt.name, now)
-            if cached is not None:
-                self.stats.cs_hits += 1
-                return [(face_id, cached)]
             entry = self.pit.get(pkt.name)
             if entry is not None:
                 entry.downstream.add(face_id)
@@ -163,11 +137,6 @@ class Forwarder:
             if entry is None:
                 self.stats.unsolicited_drops += 1
                 return []
-            if self.cs_capacity > 0 and pkt.freshness_ms > 0:
-                self.cs[pkt.name] = (pkt, now)
-                self.cs.move_to_end(pkt.name)
-                while len(self.cs) > self.cs_capacity:
-                    self.cs.popitem(last=False)
             targets = sorted(entry.downstream - {face_id})
             self.stats.downstream_data += len(targets)
             return [(fid, pkt) for fid in targets]

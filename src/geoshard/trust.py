@@ -178,20 +178,10 @@ _CERT_MAGIC = b"GSC1"
 
 
 def encode_certificate(cert: Certificate) -> bytes:
-    def enc_name(n: Name) -> bytes:
-        raw = str(n).encode()
-        return struct.pack("!H", len(raw)) + raw
-
-    return (
-        _CERT_MAGIC
-        + enc_name(cert.kl_name)
-        + struct.pack("!BH", cert.scheme, len(cert.public_key))
-        + cert.public_key
-        + enc_name(cert.issuer_kl)
-        + struct.pack("!qq", cert.not_before, cert.not_after)
-        + struct.pack("!H", len(cert.signature))
-        + cert.signature
-    )
+    """The magic, the signed body without its b"CERT" tag, then the
+    length-prefixed signature."""
+    body = cert.signing_input()[len(b"CERT"):]
+    return _CERT_MAGIC + body + struct.pack("!H", len(cert.signature)) + cert.signature
 
 
 def decode_certificate(raw: bytes) -> Certificate:
@@ -435,13 +425,6 @@ class Validator:
             raise ValidationError(f"certificate repo returned {cert.kl_name} for {kl}")
         self.add(cert)
         return cert
-
-    def validate_chain(self, cert: Certificate) -> bool:
-        try:
-            self.ensure_chain(cert)
-            return True
-        except ValidationError:
-            return False
 
     def ensure_chain(self, cert: Certificate) -> None:
         """Raise unless every link verifies and terminates at the anchor."""

@@ -1,10 +1,10 @@
+import math
 import random
 
 import pytest
 
 from geoshard.bloom import (
     CountingBloomFilter,
-    analytic_fp_rate,
     bf_key,
     bf_params,
     bucket_indices,
@@ -17,9 +17,10 @@ from geoshard.bloom import (
 )
 from geoshard.bloomsvc import MAX_BATCH, SERVER_UID, BloomClient, BloomFilterServer
 from geoshard.icn import Consumer, Fabric, InterestPacket, Name, Producer
-from geoshard.icn.clock import ManualClock
 from geoshard.naming import BF_UPDATE_PREFIX
 from geoshard.trust import SCHEME_HMAC, Validator, interest_signer, issue, make_anchor
+
+from manual_clock import ManualClock
 
 
 def test_bf_params_sane():
@@ -145,6 +146,11 @@ def test_malformed_membership_request_is_counted_and_unanswered(params):
     good = InterestPacket(interest.name, app_params=encode_membership_request([("p", "t", "c")]))
     assert srv._on_member(good.name, good) is not None
     assert srv.malformed_requests == 1
+
+
+def analytic_fp_rate(m: int, h: int, n: int) -> float:
+    """The textbook false-positive rate of n keys in m buckets with h hashes."""
+    return (1.0 - math.exp(-h * n / m)) ** h
 
 
 def test_measured_fp_rate_close_to_analytic():

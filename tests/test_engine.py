@@ -4,6 +4,8 @@ import struct
 from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoshard.engine as engine_mod
 from geoshard.bloom import bf_key, bucket_indices
@@ -15,7 +17,6 @@ from geoshard.engine import (
     DELETE_OK,
     DatabaseEngine,
     EngineConfig,
-    QDATA_CAPACITY,
     STATUS_DENIED,
     STATUS_DUPLICATE,
     STATUS_MALFORMED,
@@ -24,7 +25,6 @@ from geoshard.engine import (
 )
 from geoshard.geogrid import LEVELS, BBox, TileId, level0, parse_feature
 from geoshard.icn import Consumer, InterestPacket, Name, Producer, face_pair
-from geoshard.icn.clock import ManualClock
 from geoshard.icn.faces import MAX_FRAME, frame
 from geoshard.icn.packets import (
     DataPacket,
@@ -56,6 +56,8 @@ from geoshard.trust import (
     make_anchor,
     sign_interest,
 )
+
+from manual_clock import ManualClock
 
 
 def feature_dict(oid, coords, tid="Foo", uid="u1", cid="poi", valid=None, multi=False):
@@ -171,17 +173,6 @@ def test_void_tile_answered_with_signed_empty_container():
     assert decode_packet_stream(reassemble(segments)) == []
 
 
-def test_qdata_cache_hit_skips_index():
-    env = Env()
-    env.insert_feature(feature_dict("o1", (12.2, 41.2)))
-    tile = TileId.at(1, 12.2, 41.2)
-    env.query(tile)
-    lookups = env.engine.stats.index_lookups
-    env.query(tile)
-    assert env.engine.stats.index_lookups == lookups  # served from the query cache
-    assert env.engine.stats.qdata_hits == 1
-
-
 def test_write_invalidates_qdata_cache():
     env = Env()
     env.insert_feature(feature_dict("o1", (12.3, 41.3)))
@@ -189,29 +180,7 @@ def test_write_invalidates_qdata_cache():
     assert len(env.query(tile)) == 1
     env.insert_feature(feature_dict("o2", (12.301, 41.301)))
     rows = env.query(tile)
-    assert {r.name[-1] for r in rows} == {"o1", "o2"}  # no stale cache entry
-
-
-def test_qdata_cache_is_bounded():
-    env = Env()
-    engine = env.engine
-    env.insert_feature(feature_dict("o1", (12.05, 41.05)))
-    first = TileId.at(2, 12.05, 41.05)
-    env.query(first)  # the oldest reply
-    others = [TileId(2, 1210 + i % 50, 4110 + i // 50) for i in range(QDATA_CAPACITY)]
-    for tile in others:
-        env.query(tile)
-    assert len(engine._qdata) == QDATA_CAPACITY
-    assert set().union(*engine._qdata_by_prefix.values()) == set(engine._qdata)
-    # an insert invalidates only the live replies under its prefix
-    invalidations = engine.stats.qdata_invalidations
-    env.insert_feature(feature_dict("o2", (12.051, 41.051)))  # evicted prefix
-    assert engine.stats.qdata_invalidations == invalidations
-    env.insert_feature(feature_dict("o3", (12.215, 41.205)))  # under others[-1]
-    assert engine.stats.qdata_invalidations == invalidations + 1
-    # a repeated query after eviction sees the current rows
-    assert {r.name[-1] for r in env.query(first)} == {"o1", "o2"}
-    assert {r.name[-1] for r in env.query(others[-1])} == {"o3"}
+    assert {r.name[-1] for r in rows} == {"o1", "o2"}  # no stale rows
 
 
 def test_tile_query_denied_for_foreign_tenant_user():
@@ -275,9 +244,7 @@ def test_batches_sharing_a_tile_share_its_cached_rows():
     lookups = env.engine.stats.index_lookups
     name, interest = _signed_batch(env, [shared, second])
     after = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
-    assert env.engine.stats.qdata_hits == 1
-    assert env.engine.stats.index_lookups == lookups + 1  # only `second` was selected
-    assert len(env.engine._qdata) == 3
+    assert env.engine.stats.index_lookups == lookups + 2  # one per listed query
     # `second` holds o1's level-1 reference, but one copy per identity is
     # sent: the level-2 master of the shared tile
     assert [p.name for p in before] == [p.name for p in after]
@@ -357,14 +324,15 @@ def test_tile_batch_sends_only_rows_that_can_match_its_predicate():
         rows = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
         return [p.name[-1] for p in rows]
 
-    assert sent("intersect") == ["inside", "late", "wide"]
+    # rows in insertion order
+    assert sent("intersect") == ["inside", "wide", "late"]
     assert env.engine.stats.rows_filtered == 1
     assert sent("include") == ["inside", "late"]  # wide's extent leaves the box
     assert sent("intersect", (0, 6000)) == ["inside", "wide"]
-    assert sent("intersect", (7100, 9000)) == ["inside", "late", "wide"]  # closed interval
+    assert sent("intersect", (7100, 9000)) == ["inside", "wide", "late"]  # closed interval
     assert env.engine.stats.rows_filtered == 1 + 2 + 2 + 1
     assert env.engine.stats.rows_sent == 3 + 2 + 2 + 3
-    assert env.engine.stats.index_lookups == 1  # one cached selection answers every predicate
+    assert env.engine.stats.index_lookups == 4  # one per batch's listed query
 
 
 def test_master_whose_geojson_does_not_parse_is_left_to_the_frontend():
@@ -381,6 +349,120 @@ def test_master_whose_geojson_does_not_parse_is_left_to_the_frontend():
         interest = sign_interest(env.users["u1"], InterestPacket(name, app_params=params))
         rows = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
         assert [p.name[-1] for p in rows] == ["bad"]
+
+
+# --- the index against a linear scan of every stored row ---------------------
+#
+# Rows sit in four level-2 cells of each of four level-1 tiles of e1's
+# level-0 tile 12/41, so that generated queries find them.
+
+_CELLS = st.tuples(st.sampled_from([0, 1, 10, 11]), st.sampled_from([0, 1, 10, 11]))
+_OWNERS = {"u1": "Foo", "u2": "Foo", "w1": "Bar"}
+_PERIODS = st.none() | st.tuples(st.sampled_from([0, 100]), st.sampled_from([10, 100]))
+# seconds, biased to the periods' closed ends
+_SECONDS = st.integers(0, 15_000) | st.sampled_from([0, 600, 6000, 6600, 12000])
+_INTERVALS = st.none() | st.lists(_SECONDS, min_size=2, max_size=2).map(
+    lambda ends: tuple(sorted(ends)))
+
+
+def _tile_of_cell(level, cell):
+    """The level-0, -1 or -2 tile holding level-2 cell `cell` of 12/41."""
+    a, b = cell
+    return TileId(level, (1200 + a) // 10 ** (2 - level), (4100 + b) // 10 ** (2 - level))
+
+
+def _signer(env, uid):
+    return env.other_user if uid == "w1" else env.users[uid]
+
+
+@st.composite
+def _feature(draw):
+    uid = draw(st.sampled_from(sorted(_OWNERS)))
+    points = [
+        (12 + (a + draw(st.floats(0.05, 0.95))) / 100, 41 + (b + draw(st.floats(0.05, 0.95))) / 100)
+        for a, b in draw(st.lists(_CELLS, min_size=1, max_size=3))
+    ]
+    return uid, feature_dict(
+        draw(st.sampled_from("abcd")), points if len(points) > 1 else points[0],
+        tid=_OWNERS[uid], uid=uid, valid=draw(_INTERVALS), multi=len(points) > 1,
+    )
+
+
+@st.composite
+def _tile_batch(draw, engine):
+    """(tid, [(tile, period)], predicate) of a tile batch to e1, its tiles
+    and data set mostly those of stored rows."""
+    stored = sorted({(row.tid, row.tile) for row in engine.objects.values()})
+    tid = draw(st.sampled_from([t for t, _ in stored] or ["Foo"]) | st.sampled_from(["Foo", "Bar"]))
+    tiles = [tile for t, tile in stored if t == tid]
+    random_tile = st.builds(_tile_of_cell, st.integers(0, 2), _CELLS)
+    listed = draw(st.lists(
+        st.tuples(
+            (st.sampled_from(tiles) | random_tile) if tiles else random_tile,
+            _PERIODS,
+        ),
+        min_size=1, max_size=4,
+    ))
+    lng = sorted(draw(st.lists(st.floats(11.95, 12.25), min_size=2, max_size=2)))
+    lat = sorted(draw(st.lists(st.floats(40.95, 41.25), min_size=2, max_size=2)))
+    box = draw(st.sampled_from([
+        BBox.of(11.9, 40.9, 12.3, 41.3), BBox.of(lng[0], lat[0], lng[1] + 0.001, lat[1] + 0.001)]))
+    predicate = Predicate(box, draw(st.sampled_from(["intersect", "include"])), draw(_INTERVALS))
+    return tid, listed, predicate
+
+
+def _scan(engine, tid, listed, predicate):
+    """The row names a tile batch must get, by a linear scan of every stored
+    row: per listed (tile, period), each row under that tile and data set
+    whose validity meets the period (closed) and that can match the
+    predicate; one row per identity, the first kept, or the first master."""
+    kept = {}
+    for tile, period in listed:
+        for row in engine.objects.values():
+            if (row.tile, row.tid, row.cid) != (tile, tid, "poi"):
+                continue
+            if period is not None and row.valid_time is not None:
+                start, end = period[0] * 60, (period[0] + period[1]) * 60
+                if row.valid_time[0] > end or row.valid_time[1] < start:
+                    continue
+            if not row.can_match(predicate):
+                continue
+            held = kept.get(row.key)
+            if held is None or (held.is_reference and not row.is_reference):
+                kept[row.key] = row
+    return [row.name for row in kept.values()]
+
+
+@settings(deadline=None)  # the budget comes from the profile (tests/conftest.py)
+@given(data=st.data())
+def test_every_tile_batch_reply_equals_a_linear_scan_of_the_stored_rows(data):
+    env = Env()
+    for _ in range(data.draw(st.integers(1, 25), label="steps")):
+        step = data.draw(st.sampled_from(["insert", "insert", "delete", "query"]), label="step")
+        if step == "insert":
+            uid, obj = data.draw(_feature(), label="feature")
+            packets = build_object_packets(parse_feature(obj), data_signer(_signer(env, uid)))
+            statuses = env.engine.bulk_insert([p for _, p in packets])
+            assert set(statuses) <= {STATUS_OK, STATUS_DUPLICATE}
+        elif step == "delete" and env.engine.objects:
+            victim = data.draw(st.sampled_from([r.key for r in env.engine.objects.values()]))
+            rows = [n for n, r in env.engine.objects.items() if r.key == victim]
+            names = data.draw(st.lists(st.sampled_from(rows), min_size=1, unique=True))
+            tid, _, uid, _ = victim
+            name, params = object_batch(TileId.at(0, 12, 41), tid, "poi", names, DELETE_MARK)
+            interest = sign_interest(_signer(env, uid), InterestPacket(name, app_params=params))
+            assert env.engine.handle_delete(name, interest).payload.split(b"\n") == (
+                [DELETE_OK] * len(names))
+            assert not set(names) & env.engine.objects.keys()
+        elif step == "query":
+            tid, listed, predicate = data.draw(_tile_batch(env.engine), label="batch")
+            qnames = [tile_query_name(tile, tid, "poi", period) for tile, period in listed]
+            name, params = object_batch(TileId.at(0, 12, 41), tid, "poi", qnames, TILE_MARK,
+                                        predicate)
+            signer = _signer(env, "u1" if tid == "Foo" else "w1")
+            interest = sign_interest(signer, InterestPacket(name, app_params=params))
+            reply = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
+            assert [p.name for p in reply] == _scan(env.engine, tid, listed, predicate)
 
 
 def _fetch_over_a_face(env, name, interest):
@@ -446,17 +528,18 @@ def test_row_matching_two_listed_periods_is_sent_once():
     first, second = (0, 100), (100, 100)  # seconds 0..6000 and 6000..12000
     name, interest = _signed_period_batch(env, tile, [first, second])
     rows = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
-    # the first period's rows, then the second's less those already sent
-    assert [r.name[-1] for r in rows] == ["both", "early", "timeless", "late"]
-    assert env.engine.stats.qdata_hits == 0
-    # the cache keeps each period's own rows: a batch of the second alone hits
+    # the first period's rows, then the second's less those already sent,
+    # each in insertion order
+    assert [r.name[-1] for r in rows] == ["timeless", "early", "both", "late"]
+    assert env.engine.stats.index_lookups == 2  # one per listed query
+    # a batch of the second period alone gets that period's own rows
     rows = env.query(tile, period=second)
-    assert [r.name[-1] for r in rows] == ["both", "late", "timeless"]
-    assert env.engine.stats.qdata_hits == 1
-    # a repeated batch is answered from the cache with the same reply
+    assert [r.name[-1] for r in rows] == ["timeless", "late", "both"]
+    assert env.engine.stats.index_lookups == 3
+    # a repeated batch is answered from the index again, with the same reply
     again = decode_packet_stream(reassemble(env.engine.handle_tile_query(name, interest)))
-    assert [r.name[-1] for r in again] == ["both", "early", "timeless", "late"]
-    assert env.engine.stats.qdata_hits == 3
+    assert [r.name[-1] for r in again] == ["timeless", "early", "both", "late"]
+    assert env.engine.stats.index_lookups == 5
 
 
 def test_tile_batch_makes_one_access_decision(monkeypatch):

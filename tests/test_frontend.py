@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import socket
 import struct
 import sys
 import threading
@@ -19,7 +20,6 @@ from geoshard.frontend import (
     QueryStats,
     RangeQuery,
     RangeQueryError,
-    ServiceClient,
 )
 from geoshard.geogrid import BBox, FeatureError, TileId, parse_feature
 from geoshard.icn.names import Name
@@ -477,8 +477,7 @@ def test_forged_bloom_reply_falls_back_to_every_tile(forgery):
             u1 = cluster.user_ids[("Foo", "poi", "u1")]
             return ProducerReply(encode_membership_response([False] * n), sign=data_signer(u1))
 
-        for fid in list(cluster.router.fib[BF_PREFIX]):
-            cluster.router.withdraw(BF_PREFIX, fid)
+        del cluster.router.fib[BF_PREFIX]  # the server's routes withdrawn
         face, fid = cluster.fabric.attach(cluster.router, "rogue-bf")
         cluster.router.advertise(BF_PREFIX, fid)
         Producer(face, "rogue-bf").serve(BF_MEMBER_PREFIX, rogue)
@@ -533,8 +532,7 @@ def test_tile_reply_not_signed_by_an_engine_fails_the_query():
         assert fe.range_query(q).oids == {"dropped"}
         u1 = cluster.user_ids[("Foo", "poi", "u1")]
         prefix = route_prefix(TileId.at(0, 12, 41))
-        for fid in list(cluster.router.fib[prefix]):
-            cluster.router.withdraw(prefix, fid)
+        del cluster.router.fib[prefix]  # e1's routes withdrawn
         face, fid = cluster.fabric.attach(cluster.router, "rogue-e1")
         cluster.router.advertise(prefix, fid)
         Producer(face, "rogue-e1").serve(
@@ -1168,6 +1166,25 @@ def test_predicates_carried_in_tile_batches_keep_results_equal_to_the_oracle():
 # service endpoint and config files
 
 
+class ServiceClient:
+    """Client for the front-end's line-delimited JSON service."""
+
+    def __init__(self, host, port):
+        self._sock = socket.create_connection((host, port), timeout=60)
+        self._file = self._sock.makefile("rwb")
+
+    def call(self, request: dict) -> dict:
+        self._file.write(json.dumps(request).encode() + b"\n")
+        self._file.flush()
+        line = self._file.readline()
+        if not line:
+            raise ConnectionError("service closed the connection")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self._sock.close()
+
+
 def test_service_endpoint_roundtrip():
     cluster = Cluster(make_spec(service_port=0))
     try:
@@ -1213,7 +1230,6 @@ def test_parse_cluster_config(tmp_path):
 scheme = hmac
 bf_enabled = true
 bf_capacity = 500
-qdata_freshness_ms = 1000
 frontends = fe1, fe2
 
 [engine.e1]
@@ -1246,6 +1262,14 @@ ndn:/OGB/13/41 = e1
         assert rep.ok
     finally:
         cluster.close()
+
+
+@pytest.mark.parametrize("key", ["engine_cs_capacity", "qdata_freshness_ms", "bf_capcity"])
+def test_parse_cluster_config_refuses_unknown_cluster_keys(tmp_path, key):
+    cfg = tmp_path / "cluster.ini"
+    cfg.write_text(f"[cluster]\nscheme = hmac\n{key} = 256\n\n[engine.e1]\ntiles = 12/41\n")
+    with pytest.raises(ValueError, match=key):
+        parse_cluster_config(str(cfg))
 
 
 @pytest.mark.parametrize("node", ["admin", "bf-server"])

@@ -15,7 +15,6 @@ from geoshard.icn import (
     Forwarder,
     GetTimeoutError,
     InterestPacket,
-    ManualClock,
     Name,
     Producer,
     ProducerReply,
@@ -29,14 +28,20 @@ from geoshard.icn import (
     segment,
     segment_name,
     split_segment_name,
-    tcp_connect,
 )
-from geoshard.icn.faces import MAX_FRAME
+from geoshard.icn.faces import MAX_FRAME, TcpFace
 from geoshard.icn.packets import (
     TYPE_DATA,
     decode_packet_stream,
     encode_packet_stream,
 )
+
+from manual_clock import ManualClock
+
+
+def tcp_connect(host, port):
+    """A started TcpFace to a server; the client speaks first."""
+    return TcpFace(socket.create_connection((host, port), timeout=10)).start()
 
 
 def test_name_parse_render_roundtrip():
@@ -338,7 +343,7 @@ def test_no_route_drop_and_withdraw():
     assert fwd.stats.no_route_drops == 1
     fwd.advertise(Name(["a"]), up_fid)  # idempotent re-registration
     assert fwd.fib[Name(["a"])] == {up_fid}
-    fwd.withdraw(Name(["a"]), up_fid)
+    del fwd.fib[Name(["a"])]  # the route withdrawn
     ep.send(InterestPacket(Name(["a", "x"]), nonce=2))
     assert fwd.stats.no_route_drops == 2
     assert len(upstream) == 1 - 1  # nothing ever went upstream
@@ -351,71 +356,13 @@ def test_unsolicited_data_dropped():
     assert fwd.stats.unsolicited_drops == 1
 
 
-def test_content_store_freshness():
-    clock = ManualClock()
-    fwd = Forwarder("f", clock=clock, cs_capacity=16)
-    up_fid, up_ep, upstream = _queued_upstream(fwd)
-    fwd.advertise(Name(["a"]), up_fid)
-    fid1, ep1, got1 = _downstream(fwd)
-    name = Name(["a", "x"])
-    ep1.send(InterestPacket(name, nonce=1))
-    up_ep.send(DataPacket(name, b"v1", freshness_ms=2000))
-    assert got1[0].payload == b"v1"
-    # second interest within freshness: served from CS, no upstream
-    fid2, ep2, got2 = _downstream(fwd)
-    ep2.send(InterestPacket(name, nonce=2))
-    assert len(upstream) == 1
-    assert got2[0].payload == b"v1"
-    assert fwd.stats.cs_hits == 1
-    # after expiry the CS must not serve it
-    clock.advance(2.5)
-    ep2.send(InterestPacket(name, nonce=3))
-    assert len(upstream) == 2
-
-
-def test_freshness_zero_never_cached():
-    clock = ManualClock()
-    fwd = Forwarder("f", clock=clock, cs_capacity=16)
-    up_fid, up_ep, upstream = _queued_upstream(fwd)
-    fwd.advertise(Name(["a"]), up_fid)
-    _, ep, got = _downstream(fwd)
-    name = Name(["a", "q"])
-    ep.send(InterestPacket(name, nonce=1))
-    up_ep.send(DataPacket(name, b"fresh0", freshness_ms=0))
-    assert got[0].payload == b"fresh0"
-    ep.send(InterestPacket(name, nonce=2))
-    assert len(upstream) == 2  # re-fetched upstream, never cached
-
-
-def test_cs_property_never_serves_stale(tmp_path):
-    rng = random.Random(77)
-    clock = ManualClock()
-    fwd = Forwarder("f", clock=clock, cs_capacity=64)
-    up_fid, up_ep, upstream = _queued_upstream(fwd)
-    fwd.advertise(Name(["p"]), up_fid)
-    _, ep, got = _downstream(fwd)
-    for i in range(200):
-        name = Name(["p", str(rng.randrange(20))])
-        freshness = rng.choice((0, 100, 1000, 5000))
-        ep.send(InterestPacket(name, nonce=rng.getrandbits(32)))
-        if upstream and upstream[-1].name == name:
-            up_ep.send(DataPacket(name, b"x", freshness_ms=freshness))
-        if got:
-            pkt = got[-1]
-        clock.advance(rng.uniform(0, 2))
-        # every CS entry still present must be younger than its freshness
-        now = clock()
-        for cname, (cpkt, arrival) in fwd.cs.items():
-            assert cpkt.freshness_ms > 0
-
-
 # ---------------------------------------------------------------------------
 # end-to-end fetch through a fabric
 
 
-def _simple_net(cs_capacity=0, loss_to_consumer=None):
+def _simple_net(loss_to_consumer=None):
     fabric = Fabric()
-    router = fabric.forwarder("router", cs_capacity=cs_capacity)
+    router = fabric.forwarder("router")
     prod_face, prod_fid = fabric.attach(router, "producer")
     cons_face, _ = fabric.attach(router, "consumer", loss_to_endpoint=loss_to_consumer)
     router.advertise(Name(["content"]), prod_fid)
@@ -591,7 +538,7 @@ def test_tcp_face_closes_on_oversized_frame():
 
 def test_concurrent_gets_share_upstream():
     fabric = Fabric()
-    router = fabric.forwarder("router", cs_capacity=8)
+    router = fabric.forwarder("router")
     prod_face, prod_fid = fabric.attach(router, "producer")
     router.advertise(Name(["c"]), prod_fid)
     calls = []
@@ -618,4 +565,4 @@ def test_concurrent_gets_share_upstream():
     for t in threads:
         t.join()
     assert results == [b"shared"] * 4
-    assert len(calls) <= 4  # CS plus PIT keep most requests off the producer
+    assert len(calls) <= 4  # the PIT keeps overlapping requests off the producer

@@ -8,7 +8,6 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from geoshard.icn import Consumer, Fabric, InterestPacket, Name, Producer
-from geoshard.icn.clock import ManualClock
 from geoshard.icn.packets import DataPacket
 from geoshard.geogrid import TileId
 from geoshard.naming import key_locator_name, object_name, tile_query_name
@@ -36,6 +35,8 @@ from geoshard.trust import (
     verify_packet,
 )
 
+from manual_clock import ManualClock
+
 
 @pytest.fixture(scope="module")
 def pki():
@@ -44,6 +45,14 @@ def pki():
     user1 = issue(tenant, "Foo.poi", "u1", "rw")
     user2 = issue(tenant, "Foo.poi", "u2", "r")
     return anchor, tenant, user1, user2
+
+
+def validate_chain(v: Validator, cert) -> bool:
+    try:
+        v.ensure_chain(cert)
+        return True
+    except ValidationError:
+        return False
 
 
 def _validator(pki, clock=None):
@@ -113,9 +122,9 @@ def test_certificate_codec_roundtrip(pki):
 def test_chain_validation(pki):
     anchor, tenant, user1, _ = pki
     v = _validator(pki)
-    assert v.validate_chain(user1.cert)
-    assert v.validate_chain(tenant.cert)
-    assert v.validate_chain(anchor.cert)  # self-signed anchor
+    assert validate_chain(v, user1.cert)
+    assert validate_chain(v, tenant.cert)
+    assert validate_chain(v, anchor.cert)  # self-signed anchor
     assert v.chain_tenant(user1.cert) == "Foo"
 
 
@@ -126,14 +135,14 @@ def test_chain_rejects_wrong_tenant_issuer(pki):
     v = _validator(pki)
     v.add(other_tenant.cert)
     v.add(forged.cert)
-    assert not v.validate_chain(forged.cert)
+    assert not validate_chain(v, forged.cert)
 
 
 def test_chain_rejects_rogue_self_signed(pki):
     rogue = make_anchor(did="evil", uid="evil")
     v = _validator(pki)
     v.add(rogue.cert)
-    assert not v.validate_chain(rogue.cert)
+    assert not validate_chain(v, rogue.cert)
 
 
 def test_chain_missing_intermediate(pki):
@@ -150,9 +159,9 @@ def test_chain_validity_window():
     tenant = issue(anchor, "Foo", "Foo", "rw", now=0, validity_s=100)
     v = Validator(anchor.cert, clock=clock)
     v.add(tenant.cert)
-    assert v.validate_chain(tenant.cert)
+    assert validate_chain(v, tenant.cert)
     clock.advance(500)  # tenant expired, cache must not mask it
-    assert not v.validate_chain(tenant.cert)
+    assert not validate_chain(v, tenant.cert)
 
 
 def test_certificate_repo_fetch_over_fabric(pki):
@@ -168,7 +177,7 @@ def test_certificate_repo_fetch_over_fabric(pki):
     cons_face, _ = fabric.attach(router, "validator")
     consumer = Consumer(cons_face)
     v = Validator(anchor.cert, clock=ManualClock(50.0), fetch=repo_fetcher(consumer, lifetime_ms=300))
-    assert v.validate_chain(user1.cert)  # tenant fetched on demand
+    assert validate_chain(v, user1.cert)  # tenant fetched on demand
     with pytest.raises(UnknownKeyLocator):
         v.resolve(key_locator_name("Nope", "nobody", "r"))
 
